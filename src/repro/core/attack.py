@@ -22,22 +22,6 @@ because defenses like
 :class:`~repro.defenses.random_window.RandomWindowDefense` thread one
 RNG through every wrapper they create and resetting instead of
 re-wrapping would advance that stream differently.
-
-On top of the reset protocol sits the opt-in **snapshot protocol**
-(:attr:`AttackConfig.snapshot_trials`): the train/modify prologue runs
-under a *fixed* per-hypothesis seed, its post-prologue machine state is
-captured once via :mod:`repro.snapshot`, and every trial forks straight
-into the measured window after re-seeding only the DRAM/interconnect
-jitter streams (:meth:`repro.memory.hierarchy.MemorySystem.reseed_jitter`)
-with the trial seed.  Because the prologue is deterministic w.r.t. the
-jitter seed (:attr:`~repro.core.variants.AttackVariant.prologue_deterministic`),
-a cold replay of prologue + measured window under the same seeds is
-byte-identical to the forked trial — which ``audit_snapshots`` asserts
-per fork.  Variants or defenses that violate the determinism
-preconditions (e.g. the R-type defense's shared random stream,
-:attr:`~repro.defenses.base.Defense.prologue_memo_safe`) transparently
-fall back to full replay under the same seed schedule, so the
-experiment's statistics are identical either way.
 """
 
 from __future__ import annotations
@@ -47,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -64,7 +47,6 @@ from repro.perf.counters import COUNTERS
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.sim import get_backend, resolve_backend_name
-from repro.snapshot import MachineSnapshot, restore_machine, snapshot_machine
 from repro.stats.distributions import TimingDistribution
 from repro.stats.summary import DistributionComparison
 from repro.stats.bandwidth import transmission_rate_kbps
@@ -147,22 +129,6 @@ class AttackConfig:
             byte-identical either way (tested); disable only to
             cross-check that equivalence or to debug reset-protocol
             regressions.
-        snapshot_trials: Opt into the snapshot trial protocol: run the
-            train/modify prologue under a fixed per-hypothesis seed,
-            memoize the post-prologue machine state, and fork each
-            trial straight into the measured window with only the
-            jitter streams re-seeded.  Changes the per-trial seed
-            schedule (prologue state is shared by construction), so
-            its results are a different — equally valid — sample of
-            the same timing distributions as the default protocol;
-            within the protocol, forked and replayed trials are
-            byte-identical.
-        audit_snapshots: After every forked trial, replay it cold
-            (full prologue + measured window) and raise
-            :class:`~repro.errors.AttackError` unless measurement and
-            simulated cycle count match exactly.  Costs more than it
-            saves; for CI/equivalence checking.  Requires
-            ``snapshot_trials``.
         backend: Simulation backend executing the trial loop
             (:mod:`repro.sim`): ``"scalar"`` (the historical
             interpreter loop), ``"batched"`` (numpy lockstep lanes,
@@ -185,8 +151,6 @@ class AttackConfig:
     seed: int = 0
     max_trial_cycles: Optional[int] = None
     batch_trials: bool = True
-    snapshot_trials: bool = False
-    audit_snapshots: bool = False
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
     layout: Layout = field(default_factory=Layout)
@@ -201,8 +165,6 @@ class AttackConfig:
             raise AttackError(f"unknown modify_mode {self.modify_mode!r}")
         if self.max_trial_cycles is not None and self.max_trial_cycles < 1:
             raise AttackError("max_trial_cycles must be >= 1")
-        if self.audit_snapshots and not self.snapshot_trials:
-            raise AttackError("audit_snapshots requires snapshot_trials")
 
 
 @dataclass
@@ -291,12 +253,6 @@ class AttackRunner:
         # The warm machine reused across trials when batch_trials is
         # set (None until the first trial builds it cold).
         self._warm: Optional[Tuple[MemorySystem, Core]] = None
-        # Post-prologue machine captures, keyed by hypothesis.  Only
-        # populated under the snapshot protocol when forking is safe.
-        self._prologue_cache: Dict[bool, MachineSnapshot] = {}
-        # Latched when the installed predictor chain turns out not to
-        # implement the snapshot protocol (custom predictors).
-        self._fork_disabled = False
         # The trial-loop executor (repro.sim): resolved eagerly so an
         # unknown name or unavailable backend fails here, not mid-sweep.
         self.backend: "SimBackend" = get_backend(
@@ -338,9 +294,7 @@ class AttackRunner:
             )
         return core_config
 
-    def _machine(
-        self, trial_seed: int, force_warm: bool = False
-    ) -> Tuple[MemorySystem, Core]:
+    def _machine(self, trial_seed: int) -> Tuple[MemorySystem, Core]:
         """A (memory, core) pair seeded for one trial.
 
         Cold path: construct the hierarchy and core from scratch.
@@ -349,13 +303,9 @@ class AttackRunner:
         identical to the cold path because the reset protocol restores
         as-constructed state and shared-region registration survives
         (the address mapper is stateless for translation purposes).
-        ``force_warm`` keeps one machine alive regardless of
-        ``batch_trials``; the snapshot protocol needs a persistent
-        machine to fork.
         """
         config = self.config
-        keep_warm = config.batch_trials or force_warm
-        if keep_warm and self._warm is not None:
+        if config.batch_trials and self._warm is not None:
             memory, core = self._warm
             memory.reset(trial_seed)
             core.reset(predictor=self._fresh_predictor())
@@ -371,12 +321,12 @@ class AttackRunner:
             config.layout.probe_lines * config.layout.probe_stride,
         )
         core = Core(memory, self._fresh_predictor(), self._core_config())
-        if keep_warm:
+        if config.batch_trials:
             self._warm = (memory, core)
         return memory, core
 
-    def _build_env(self, trial_seed: int, force_warm: bool = False) -> TrialEnv:
-        memory, core = self._machine(trial_seed, force_warm=force_warm)
+    def _build_env(self, trial_seed: int) -> TrialEnv:
+        memory, core = self._machine(trial_seed)
         return self._env_around(memory, core)
 
     def run_trial(self, mapped: bool, trial_index: int) -> TrialResult:
@@ -387,8 +337,6 @@ class AttackRunner:
             + (1 if mapped else 0)
         )
         COUNTERS.trials += 1
-        if self.config.snapshot_trials:
-            return self._run_trial_snapshot(mapped, trial_seed)
         env = self._build_env(trial_seed)
         measurement = self.variant.run(env, mapped)
         return self._finish_trial(env, measurement)
@@ -406,81 +354,6 @@ class AttackRunner:
                 * self.config.layout.probe_lines
             )
         return TrialResult(measurement=measurement, sim_cycles=sim_cycles)
-
-    # ------------------------------------------------------------------
-    # Snapshot trial protocol
-    # ------------------------------------------------------------------
-    def _prologue_seed(self, mapped: bool) -> int:
-        """Fixed per-hypothesis seed the prologue runs under.
-
-        Lives in the same per-``config.seed`` block as the trial seeds
-        (offset 999_331 — prime, larger than any ``trial_index * 7919``
-        for the paper's 100 runs, smaller than the 1_000_003 block
-        stride) so distinct experiments never share prologue machines.
-        """
-        return self.config.seed * 1_000_003 + 999_331 + (1 if mapped else 0)
-
-    def _fork_supported(self) -> bool:
-        """Whether forking trials from a memoized prologue is sound."""
-        if self._fork_disabled:
-            return False
-        if not self.variant.prologue_deterministic:
-            return False
-        defense = self.config.defense
-        if defense is not None and not defense.prologue_memo_safe:
-            return False
-        return True
-
-    def _prologue_env(self, mapped: bool) -> TrialEnv:
-        """Reset the machine under the prologue seed and run the prologue."""
-        env = self._build_env(self._prologue_seed(mapped), force_warm=True)
-        self.variant.run_prologue(env, mapped)
-        return env
-
-    def _run_trial_snapshot(self, mapped: bool, trial_seed: int) -> TrialResult:
-        """One trial under the snapshot protocol.
-
-        Fork path: restore the memoized post-prologue capture, re-seed
-        the jitter streams with the trial seed, run only the measured
-        window.  Cold path (capture trial, unsupported predictor, or
-        memo-unsafe defense/variant): full prologue replay under the
-        fixed prologue seed, then the same jitter re-seed + measured
-        window — byte-identical to the fork by construction.
-        """
-        config = self.config
-        snapshot = self._prologue_cache.get(mapped)
-        if self._fork_supported() and snapshot is not None:
-            assert self._warm is not None  # capture created it
-            memory, core = self._warm
-            restore_machine(memory, core, snapshot)
-            COUNTERS.snapshot_forks += 1
-            COUNTERS.snapshot_prologue_hits += 1
-            COUNTERS.snapshot_cycles_avoided += snapshot.cycle
-            COUNTERS.snapshot_bytes_copied += snapshot.approx_bytes
-            env = self._env_around(memory, core)
-            env.memory.reseed_jitter(trial_seed)
-            measurement = self.variant.run_measured(env, mapped)
-            result = self._finish_trial(env, measurement)
-            if config.audit_snapshots:
-                self._audit_trial(mapped, trial_seed, result)
-            return result
-        # Cold path: run the prologue for real ...
-        COUNTERS.snapshot_prologue_misses += 1
-        env = self._prologue_env(mapped)
-        # ... and capture it for future trials when forking is sound.
-        if self._fork_supported():
-            try:
-                captured = snapshot_machine(env.memory, env.core)
-            except NotImplementedError:
-                # Custom predictor without snapshot support: fall back
-                # to full replay for the rest of the experiment.
-                self._fork_disabled = True
-            else:
-                self._prologue_cache[mapped] = captured
-                COUNTERS.snapshot_bytes_copied += captured.approx_bytes
-        env.memory.reseed_jitter(trial_seed)
-        measurement = self.variant.run_measured(env, mapped)
-        return self._finish_trial(env, measurement)
 
     def _env_around(self, memory: MemorySystem, core: Core) -> TrialEnv:
         """A :class:`TrialEnv` view over an already-prepared machine."""
@@ -500,26 +373,6 @@ class AttackRunner:
             modify_mode=config.modify_mode,
         )
 
-    def _audit_trial(
-        self, mapped: bool, trial_seed: int, forked: TrialResult
-    ) -> None:
-        """Replay a forked trial cold and assert byte-identity."""
-        COUNTERS.snapshot_audit_replays += 1
-        env = self._prologue_env(mapped)
-        env.memory.reseed_jitter(trial_seed)
-        measurement = self.variant.run_measured(env, mapped)
-        cold = self._finish_trial(env, measurement)
-        if (
-            cold.measurement != forked.measurement
-            or cold.sim_cycles != forked.sim_cycles
-        ):
-            raise AttackError(
-                "snapshot audit divergence for "
-                f"{self.variant.name} mapped={mapped} seed={trial_seed}: "
-                f"forked=({forked.measurement!r}, {forked.sim_cycles}) "
-                f"cold=({cold.measurement!r}, {cold.sim_cycles})"
-            )
-
     def run_incremental(self) -> "IncrementalExperiment":
         """Open a trial-streaming view over this experiment.
 
@@ -530,8 +383,7 @@ class AttackRunner:
         — see :meth:`run_trial` — trial ``k`` is byte-identical whether
         reached by streaming or by a cold fixed-N
         :meth:`run_experiment`, and the protocol composes with warm
-        batching and snapshot forks unchanged (both live below
-        :meth:`run_trial`).
+        batching unchanged (it lives below :meth:`run_trial`).
         """
         return IncrementalExperiment(self)
 

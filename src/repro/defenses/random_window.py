@@ -80,24 +80,6 @@ class RandomWindowWrapper(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self.inner.reset()
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`.
-
-        The captured RNG state belongs to the stream *shared* with the
-        owning :class:`RandomWindowDefense` across trials; restoring it
-        rewinds that stream, which is exactly what the defense's
-        security argument forbids.  The attack runner therefore never
-        forks this wrapper (``prologue_memo_safe`` is False) — the
-        methods exist so a standalone wrapper is still snapshottable.
-        """
-        return (self.inner.snapshot(), self._rng.getstate())
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        inner_state, rng_state = state  # type: ignore[misc]
-        self.inner.restore(inner_state)
-        self._rng.setstate(rng_state)
-
 
 class RandomWindowDefense(Defense):
     """R-type defense factory usable in defense stacks.
@@ -108,10 +90,6 @@ class RandomWindowDefense(Defense):
     at the same point of every trial, turning the defense into a
     deterministic — and attackable — value transformation).
     """
-
-    #: The shared random stream advances across trials by design; a
-    #: forked trial would rewind it (see :class:`Defense`).
-    prologue_memo_safe = False
 
     def __init__(self, window_size: int = 3, seed: int = 0x5EED) -> None:
         if window_size < 1:

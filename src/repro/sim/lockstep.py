@@ -12,7 +12,7 @@ Instead of stepping cycles, the engine makes a single forward pass
 over the dynamic trace in dispatch order and computes each column's
 dispatch / issue / value-ready / complete / retire cycles as max-plus
 recurrences that are provably equal to the scalar core's greedy
-schedule (see ``docs/ARCHITECTURE.md`` §14 for the derivation):
+schedule (see ``docs/ARCHITECTURE.md`` §13 for the derivation):
 
 * dispatch: ``D[n] = max(D[n-1], D[n-fetch_width] + 1, stall,
   R[last FENCE], R[n-rob_size])`` — in-order, width-limited, stalled
@@ -21,8 +21,9 @@ schedule (see ``docs/ARCHITECTURE.md`` §14 for the derivation):
 * issue: ``I = max(D + 1, producers' value-ready)`` (the scalar issue
   stage runs before dispatch in a cycle, hence the ``+1``; consumers
   may issue the same cycle a producer's value becomes ready), with
-  memory ops additionally chained in program order through the two
-  memory ports: ``I_mem[k] >= max(I_mem[k-1], I_mem[k-2] + 1)``;
+  memory ops additionally chained in program order through the
+  ``mem_ports`` memory ports:
+  ``I_mem[k] >= max(I_mem[k-1], I_mem[k-mem_ports] + 1)``;
 * retire: ``R[n] = max(C[n], R[n-1], R[n-commit_width] + 1)``;
   serialising ops (FENCE/RDTSC) execute at the ROB head instead:
   ``C = VR = R = max(R[n-1], D + 1, R[n-commit_width] + 1)``.
@@ -90,7 +91,8 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -390,15 +392,18 @@ class LockstepMachine:
 
     Args:
         core_config: Effective core configuration (defense-adjusted).
-        memory_config: Effective memory configuration; its ``seed``
-            only matters when :meth:`set_lane_default_seeds` is not
-            used (snapshot protocol: the uniform prologue seed).
+        memory_config: Effective memory configuration.
         predictor: The shared value predictor chain.  Its state stays
             lane-uniform as long as every applied training is uniform;
             the first non-uniform training splits it into per-lane
             replicas when :attr:`allow_lane_split` permits, and
             diverges otherwise.
-        lane_seeds: Per-lane trial seeds (jitter streams start here).
+        lane_seeds: Per-lane trial seeds.  Each lane models a fresh
+            machine under its own seed: lane ``k`` draws L2 jitter
+            from ``Random(seed_k ^ 0xC0FFEE)`` and DRAM latency from
+            ``Random(seed_k ^ 0x33)``, and unwritten addresses read
+            ``splitmix64(paddr ^ seed_k)`` — the streams and defaults
+            of a scalar machine reset under ``seed_k``.
         shared_region: ``(base, size)`` registered on the private
             memory system, mirroring ``AttackRunner._machine``.
         mem: An already-reset warm :class:`MemorySystem` to reuse
@@ -458,46 +463,9 @@ class LockstepMachine:
         #: draw inside a vectorized batch (the R defense's window
         #: stream is per-trial randomness a batch cannot replay).
         self._rng_guards: List[Tuple[random.Random, object]] = []
-        #: Per-lane default backing values; None means "use the shared
-        #: MemorySystem's own seed" (lane-uniform, snapshot protocol).
-        self._lane_default_seeds: Optional[np.ndarray] = None
-        self._rng_mem: List[random.Random] = []
-        self._rng_dram: List[random.Random] = []
-        self.use_lane_streams(lane_seeds)
-
-    # -- jitter stream control -----------------------------------------
-    def use_lane_streams(self, lane_seeds: Sequence[int]) -> None:
-        """Per-lane jitter streams, exactly ``MemorySystem.reseed_jitter``.
-
-        Lane ``k`` draws L2 jitter from ``Random(seed_k ^ 0xC0FFEE)``
-        and DRAM latency from ``Random(seed_k ^ 0x33)`` — the streams a
-        scalar machine reset (or jitter-reseeded) under ``seed_k``
-        would use.
-        """
-        if len(lane_seeds) != self.lanes:
-            raise SimulationError("lane seed count changed mid-batch")
-        self._uniform_streams = False
+        #: Per-lane jitter streams and backing-value defaults.
         self._rng_mem = [random.Random(s ^ 0xC0FFEE) for s in lane_seeds]
         self._rng_dram = [random.Random(s ^ 0x33) for s in lane_seeds]
-
-    def use_uniform_streams(self, seed: int) -> None:
-        """One shared jitter stream (the snapshot protocol's prologue).
-
-        Every lane observes the *same* draw sequence — one draw per
-        access, broadcast — mirroring the one scalar prologue run whose
-        state all forks share.
-        """
-        self._uniform_streams = True
-        self._rng_mem = [random.Random(seed ^ 0xC0FFEE)]
-        self._rng_dram = [random.Random(seed ^ 0x33)]
-
-    def set_lane_default_seeds(self, lane_seeds: Sequence[int]) -> None:
-        """Per-lane backing-store default seeds (warm/cold protocol).
-
-        Unwritten addresses then read
-        ``splitmix64(paddr ^ seed_k)`` in lane ``k``, matching a scalar
-        machine reset under ``seed_k``.
-        """
         self._lane_default_seeds = np.array(
             [s & _VALUE_MASK for s in lane_seeds], dtype=np.uint64
         )
@@ -528,8 +496,6 @@ class LockstepMachine:
         store = self.mem.store_values
         if store.is_written(paddr):
             return store.read(paddr)
-        if self._lane_default_seeds is None:
-            return store.read(paddr)
         defaults = _splitmix64_vec(
             np.uint64(paddr) ^ self._lane_default_seeds
         )
@@ -540,11 +506,6 @@ class LockstepMachine:
     # -- per-lane latency draws ----------------------------------------
     def _draw_l2_jitter(self) -> object:
         jitter = self.mem.config.l2_jitter
-        if self._uniform_streams:
-            return np.full(
-                self.lanes, self._rng_mem[0].randint(0, jitter),
-                dtype=np.int64,
-            )
         draws = np.fromiter(
             (rng.randint(0, jitter) for rng in self._rng_mem),
             dtype=np.int64,
@@ -570,8 +531,6 @@ class LockstepMachine:
                 latency += tail_extra
             return latency
 
-        if self._uniform_streams:
-            return np.full(self.lanes, one(self._rng_dram[0]), dtype=np.int64)
         out = np.empty(self.lanes, dtype=np.int64)
         for lane, rng in enumerate(self._rng_dram):
             out[lane] = one(rng)
@@ -910,8 +869,8 @@ class LockstepMachine:
         arch: Dict[int, object] = {}
         stall: Optional[np.ndarray] = None
         fence_gate: Optional[np.ndarray] = None
-        last_mem: Optional[np.ndarray] = None
-        prev_mem: Optional[np.ndarray] = None
+        # Issue cycles of the last ``mem_ports`` memory ops.
+        mem_issues: Deque[np.ndarray] = deque(maxlen=config.mem_ports)
         rdtsc_values: List[Tuple[int, _LaneInt]] = []
         squashes = 0
         # Issue-cycle logs for the post-hoc width/port oversubscription
@@ -919,6 +878,16 @@ class LockstepMachine:
         width_issues: List[np.ndarray] = []
         alu_issues: List[np.ndarray] = []
         mul_issues: List[np.ndarray] = []
+
+        def mem_order(
+            issue: np.ndarray, history: Deque[np.ndarray]
+        ) -> np.ndarray:
+            """Memory ops issue in program order, ``mem_ports`` per cycle."""
+            if history:
+                issue = np.maximum(issue, history[-1])
+                if len(history) == history.maxlen:
+                    issue = np.maximum(issue, history[0] + one)
+            return issue
 
         def source_ready(base: np.ndarray, regs: Tuple[int, ...]) -> np.ndarray:
             ready = base
@@ -1019,7 +988,7 @@ class LockstepMachine:
             if trigger_dest is not None:
                 overlay[trigger_dest] = (pred_vr, prediction.value, True)
             transient_d: List[np.ndarray] = []
-            t_last_mem, t_prev_mem = last_mem, prev_mem
+            t_mem_issues = deque(mem_issues, maxlen=config.mem_ports)
             n_load = len(cols) - 1
 
             def pre_squash(cycles: np.ndarray) -> bool:
@@ -1174,22 +1143,18 @@ class LockstepMachine:
                     if issue_base is None:
                         # A memory op stuck at the issue stage blocks
                         # every younger memory op (memory_blocked).
-                        t_prev_mem, t_last_mem = t_last_mem, far
+                        t_mem_issues.append(far)
                         if dreg is not None:
                             overlay[dreg] = (None, None, False)
                         continue
-                    issue = issue_base
-                    if t_last_mem is not None:
-                        issue = np.maximum(issue, t_last_mem)
-                    if t_prev_mem is not None:
-                        issue = np.maximum(issue, t_prev_mem + one)
+                    issue = mem_order(issue_base, t_mem_issues)
                     if not pre_squash(issue):
-                        t_prev_mem, t_last_mem = t_last_mem, far
+                        t_mem_issues.append(far)
                         if dreg is not None:
                             overlay[dreg] = (None, None, False)
                         continue
                     width_issues.append(issue)
-                    t_prev_mem, t_last_mem = t_last_mem, issue
+                    t_mem_issues.append(issue)
                     base: object = 0
                     if sinstr.src1 is not None:
                         base = t_source_value(sinstr.src1)
@@ -1332,14 +1297,9 @@ class LockstepMachine:
                 issue = source_ready(
                     dispatch + one, instr.source_registers()
                 )
-                # Memory ops issue strictly in program order through
-                # the two memory ports.
-                if last_mem is not None:
-                    issue = np.maximum(issue, last_mem)
-                if prev_mem is not None:
-                    issue = np.maximum(issue, prev_mem + one)
+                issue = mem_order(issue, mem_issues)
                 width_issues.append(issue)
-                prev_mem, last_mem = last_mem, issue
+                mem_issues.append(issue)
                 col.I = issue
                 base: object = 0
                 if instr.src1 is not None:

@@ -127,6 +127,15 @@ class TestCheckpointStore:
                 str(tmp_path / "run"), {**self.META, "n_runs": 8},
                 resume=True,
             )
+        # A journal from the removed snapshot trial protocol ran under
+        # another seed schedule: resuming it must fail, not mix.
+        CheckpointStore.open(
+            str(tmp_path / "snap"), {**self.META, "snapshot_trials": True}
+        )
+        with pytest.raises(HarnessError, match="snapshot_trials"):
+            CheckpointStore.open(
+                str(tmp_path / "snap"), self.META, resume=True
+            )
 
     def test_classification_summary(self, tmp_path):
         store = CheckpointStore.open(str(tmp_path / "run"), self.META)

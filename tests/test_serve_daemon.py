@@ -101,6 +101,8 @@ class TestProtocol:
             normalize_spec({"variant": "No Such Attack"})
         with pytest.raises(HarnessError):
             normalize_spec({"variant": "Train + Hit", "bogus": 1})
+        with pytest.raises(HarnessError, match="snapshot_trials"):
+            normalize_spec({"variant": "Train + Hit", "snapshot_trials": True})
         with pytest.raises(HarnessError):
             normalize_spec({"variant": "Train + Hit", "n_runs": 0})
         with pytest.raises(HarnessError):
@@ -108,9 +110,7 @@ class TestProtocol:
 
     def test_job_key_is_content_addressed(self):
         base = normalize_spec(_spec())
-        spelled_out = normalize_spec(
-            {**_spec(), "snapshot_trials": False}
-        )
+        spelled_out = normalize_spec({**_spec(), "kind": "experiment"})
         assert job_key(base, "compat") == job_key(spelled_out, "compat")
         assert job_key(base, "compat") != job_key(base, "robust")
         assert (job_key(normalize_spec(_spec(seed=2)), "compat")

@@ -24,6 +24,7 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS, variant_by_name
 from repro.errors import BackendUnavailableError, SimBackendError
+from repro.pipeline.config import CoreConfig
 from repro.sim import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -175,6 +176,30 @@ def test_trial_streams_identical(variant, channel, defense):
     assert batched == scalar
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS,
+                         ids=lambda v: v.name.replace(" ", ""))
+@pytest.mark.parametrize("channel", [ChannelType.TIMING_WINDOW,
+                                     ChannelType.PERSISTENT],
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("mem_ports", [1, 2, 3, 4])
+def test_trial_streams_identical_mem_ports(variant, channel, mem_ports):
+    """The identity matrix along the memory-port axis.
+
+    Memory ops issue in program order, at most ``mem_ports`` per
+    cycle; the lockstep recurrence must follow the configured port
+    count, not the default two, or the persistent receiver's cycle
+    accounting drifts by a cycle with nothing journaled.
+    """
+    if channel not in variant.supported_channels:
+        pytest.skip(f"{variant.name} has no {channel.value} receiver")
+    core_config = CoreConfig(mem_ports=mem_ports)
+    scalar = _stream(_runner(variant, "scalar", channel=channel,
+                             core_config=core_config))
+    batched = _stream(_runner(variant, "batched", channel=channel,
+                              core_config=core_config))
+    assert batched == scalar
+
+
 @pytest.mark.parametrize("channel", [ChannelType.TIMING_WINDOW,
                                      ChannelType.PERSISTENT],
                          ids=lambda c: c.value)
@@ -219,26 +244,6 @@ def test_table3_sweep_verdicts_identical(tmp_path):
         return {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
     assert sweep("batched") == sweep("scalar")
-
-
-def test_snapshot_protocol_composes(monkeypatch):
-    """Snapshot-forked trials are identical across backends too."""
-    for variant_name in ("Train + Hit", "Train + Test"):
-        variant = variant_by_name(variant_name)
-        scalar = _stream(_runner(variant, "scalar", snapshot_trials=True))
-        batched = _stream(_runner(variant, "batched", snapshot_trials=True))
-        assert batched == scalar
-
-
-@pytest.mark.parametrize("defense", ["D", "R", "A", "I", "full"])
-def test_snapshot_protocol_composes_with_defenses(defense):
-    """Snapshot forking x every defense: still byte-identical."""
-    variant = variant_by_name("Train + Test")
-    scalar = _stream(_runner(variant, "scalar",
-                             snapshot_trials=True, defense=defense))
-    batched = _stream(_runner(variant, "batched",
-                              snapshot_trials=True, defense=defense))
-    assert batched == scalar
 
 
 def test_incremental_advance_composes_with_defense_and_channel():
@@ -308,26 +313,6 @@ def test_range_splits_never_affect_draws():
 # ---------------------------------------------------------------------------
 # Honest degradation: fallbacks are journaled, counters add up
 # ---------------------------------------------------------------------------
-
-
-def test_unsupported_config_falls_back_with_journal():
-    """Audit mode is the deliberately-unsupported shape: static gate."""
-    from repro.perf.counters import COUNTERS
-
-    clear_fallback_journal()
-    before = COUNTERS.batched_fallback_trials
-    variant = variant_by_name("Train + Hit")
-    scalar = _stream(_runner(variant, "scalar",
-                             snapshot_trials=True, audit_snapshots=True))
-    batched = _stream(_runner(variant, "batched",
-                              snapshot_trials=True, audit_snapshots=True))
-    assert batched == scalar
-    assert COUNTERS.batched_fallback_trials > before
-    journal = fallback_journal()
-    assert journal, "fallback produced no journal entry"
-    cell, reason = journal[-1]
-    assert "Train + Hit" in cell
-    assert "audit" in reason
 
 
 def test_runtime_divergence_journals_reason():

@@ -167,24 +167,73 @@ def test_sequential_sweep_equivalence(benchmark):
 
 
 def test_sequential_single_cell_speedup(benchmark):
-    """The canonical decisive cell: early exit with the same verdict."""
-    from repro.perf.baseline import measure_sequential
-    from repro.perf.observe import write_sweep_trajectory
+    """The canonical decisive cell: early exit with the same verdict.
 
-    seq = run_once(benchmark, measure_sequential, n_runs=60, seed=0)
-    print(f"\nTrain + Test / timing-window (n_runs=60): "
-          f"fixed {seq['fixed_s']:.3f}s, sequential "
-          f"{seq['sequential_s']:.3f}s, {seq['speedup']:.2f}x; "
-          f"effective n {seq['effective_n']}/{seq['n_runs']} after "
-          f"{seq['looks']} look(s)")
+    Both passes stream the identical per-trial seed schedule, so the
+    sequential pass's samples are a byte-exact prefix of the fixed-N
+    pass's and the verdicts must agree.
+    """
+    from repro.core.channels import ChannelType
+    from repro.harness.experiment import cell_runner, run_cell
+    from repro.harness.parallel import _variant_by_name
+    from repro.harness.runner import (
+        AdaptivePolicy,
+        SequentialPolicy,
+        run_sequential_cell,
+    )
+    from repro.perf.counters import COUNTERS, PerfCounters
+    from repro.perf.observe import Stopwatch, write_sweep_trajectory
+
+    n_runs, seed = 60, 0
+    cell = (_variant_by_name("Train + Test"), ChannelType.TIMING_WINDOW,
+            "lvp")
+
+    run_cell(*cell, n_runs=4, seed=seed)  # warm the gadget/trace caches
+    watch = Stopwatch()
+    with watch:
+        fixed = run_cell(*cell, n_runs=n_runs, seed=seed)
+    fixed_s = watch.elapsed
+
+    before = COUNTERS.snapshot()
+    watch = Stopwatch()
+    with watch:
+        outcome = run_once(
+            benchmark, run_sequential_cell,
+            cell_runner(*cell, n_runs=n_runs, seed=seed),
+            SequentialPolicy().design_for(n_runs),
+            AdaptivePolicy(),
+        )
+    sequential_s = watch.elapsed
+    delta = PerfCounters.delta(before, COUNTERS.snapshot())
+
+    assert outcome.result.attack_succeeds == fixed.attack_succeeds, (
+        "sequential verdict diverged from fixed-N: "
+        f"{outcome.result.attack_succeeds} != {fixed.attack_succeeds}"
+    )
+    seq = {
+        "cell": "Train + Test / timing-window / lvp",
+        "n_runs": n_runs,
+        "fixed_s": fixed_s,
+        "sequential_s": sequential_s,
+        "speedup": fixed_s / sequential_s if sequential_s > 0 else 0.0,
+        "effective_n": outcome.effective_n,
+        "stopped_early": bool(outcome.record["stopped_early"]),
+        "looks": len(outcome.record["looks"]),
+        "trials_avoided": delta.get("sequential_trials_avoided", 0),
+        "cycles_avoided": delta.get("sequential_cycles_avoided", 0),
+        "verdict_identical": True,
+    }
+    print(f"\nTrain + Test / timing-window (n_runs={n_runs}): "
+          f"fixed {fixed_s:.3f}s, sequential {sequential_s:.3f}s, "
+          f"{seq['speedup']:.2f}x; effective n {seq['effective_n']}"
+          f"/{n_runs} after {seq['looks']} look(s)")
     write_sweep_trajectory(
         "bench_sequential_cell", seq, trials=2 * seq["effective_n"],
     )
-    assert seq["verdict_identical"]
     assert seq["stopped_early"], (
         "the canonical Train + Test cell should be decisive at n=60"
     )
-    assert seq["effective_n"] <= seq["n_runs"] // 2
+    assert seq["effective_n"] <= n_runs // 2
     assert seq["speedup"] > 1.0, (
         f"sequential slower than fixed-N on a decisive cell: {seq}"
     )

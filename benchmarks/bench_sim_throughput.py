@@ -11,7 +11,6 @@ import pytest
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 import os
-import random
 from pathlib import Path
 
 from repro.isa.builder import ProgramBuilder
@@ -109,30 +108,8 @@ def test_vtage_train_predict_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------
-# Sweep-engine speedups (recorded into the BENCH snapshot)
+# Sweep-engine speedups (recorded into BENCH_sweep.json)
 # ---------------------------------------------------------------------
-
-_SNAPSHOT = Path(__file__).parent / "BENCH_parallel.json"
-
-
-def test_warm_batching_speedup():
-    """Warm-machine trial batching beats cold per-trial construction.
-
-    One-shot comparative timing (not a pytest-benchmark round): the
-    measurement itself re-checks that both modes produce identical
-    results, and the numbers land in the BENCH snapshot so the gain is
-    tracked across commits.
-    """
-    from repro.perf.baseline import measure_warm_batching
-    from repro.perf.observe import write_bench_snapshot
-
-    warm = measure_warm_batching(n_runs=60, seed=0)
-    write_bench_snapshot(_SNAPSHOT, "bench_warm_batching", warm)
-    assert warm["identical"]
-    assert warm["speedup"] > 1.0, (
-        f"warm batching slower than cold construction: {warm}"
-    )
-
 
 def test_batched_backend_trials_per_s():
     """Batched lockstep backend: >= 10x trials/s on a Table III cell.
@@ -140,17 +117,15 @@ def test_batched_backend_trials_per_s():
     One-shot comparative timing of the same cell under the scalar
     reference backend and the numpy lockstep backend (``repro.sim``).
     The batched pass must be fully vectorized (no scalar fallbacks) and
-    byte-identical in verdict; the trials/s ratio is the tentpole
-    number of ISSUE 8 and lands in both BENCH snapshots.
+    byte-identical in verdict; the trials/s ratio lands in
+    ``BENCH_sweep.json``.
     """
     pytest.importorskip("numpy")
     from repro.harness.experiment import run_cell
     from repro.harness.parallel import _variant_by_name
     from repro.core.channels import ChannelType
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import (
-        Stopwatch, write_bench_snapshot, write_sweep_trajectory,
-    )
+    from repro.perf.observe import Stopwatch, write_sweep_trajectory
 
     variant = _variant_by_name("Train + Hit")
     n_runs = 64
@@ -199,43 +174,16 @@ def test_batched_backend_trials_per_s():
         "speedup_vs_scalar": speedup,
         "verdict_identical": True,
     }
-    write_bench_snapshot(_SNAPSHOT, "bench_backend_cell", record)
     write_sweep_trajectory("bench_backend_cell", record, backend="batched")
     assert speedup >= 10.0, (
         f"batched backend below the 10x target: {speedup:.2f}x"
     )
 
 
-def _retract_stale_parallel_record():
-    """Drop a pre-honesty ``bench_parallel_sweep`` trajectory record.
-
-    Records stamped before the honesty pass carry neither the
-    producing ``backend`` nor ``effective_workers``, so there is no
-    way to tell whether their "parallel" number ever reflected real
-    concurrency (the known-bad one was 1.03x on a 1-CPU host).  When
-    this host cannot produce an honest replacement, the stale record
-    is retracted rather than left to masquerade as a measurement.
-    """
-    import json
-
-    from repro.harness.checkpoint import atomic_write_json
-    from repro.perf.observe import SWEEP_TRAJECTORY
-
-    try:
-        document = json.loads(SWEEP_TRAJECTORY.read_text())
-    except (OSError, ValueError):
-        return
-    section = document.get("bench_parallel_sweep")
-    if not isinstance(section, dict) or "effective_workers" in section:
-        return
-    del document["bench_parallel_sweep"]
-    atomic_write_json(str(SWEEP_TRAJECTORY), document)
-
-
 def test_parallel_sweep_speedup():
     """Table III sweep at 4 workers vs serial, byte-identical results.
 
-    The snapshot once recorded ``speedup_vs_serial: 1.03`` — measured
+    The record once held ``speedup_vs_serial: 1.03`` — measured
     on a host where the 4-process pool had effectively one CPU to run
     on, so the "parallel" number was really a serial number with pool
     overhead.  The record now carries the requested *and* effective
@@ -255,7 +203,7 @@ def test_parallel_sweep_speedup():
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
-    from repro.perf.observe import write_bench_snapshot, write_sweep_trajectory
+    from repro.perf.observe import write_sweep_trajectory
     from repro.sim import resolve_backend_name
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
@@ -284,24 +232,12 @@ def test_parallel_sweep_speedup():
     host_cpus = os.cpu_count() or 1
     effective_workers = min(parallel.effective_workers, host_cpus)
     if effective_workers < 2:
-        _retract_stale_parallel_record()
         pytest.skip(
             "refusing to stamp a 'parallel' bench record with "
             f"{effective_workers} effective worker(s) "
             f"(requested {parallel.workers}, host has {host_cpus} CPU(s))"
         )
     overhead_bound = speedup < 1.5
-    write_bench_snapshot(_SNAPSHOT, "bench_parallel_sweep", {
-        "cells": len(specs),
-        "backend": backend_name,
-        "host_cpus": host_cpus,
-        "workers": parallel.workers,
-        "effective_workers": effective_workers,
-        "serial": serial.to_payload(),
-        "parallel": parallel.to_payload(),
-        "speedup": speedup,
-        "overhead_bound": overhead_bound,
-    })
     write_sweep_trajectory("bench_parallel_sweep", {
         "cells": len(specs),
         "n_runs": 8,

@@ -19,7 +19,6 @@ Examples::
     python -m repro all --out out --workers 4
     python -m repro all --out out --sequential
     python -m repro attack --variant "Train + Test" --sequential
-    python -m repro perf --workers 4 --profile sweep.pstats
 """
 
 from __future__ import annotations
@@ -315,32 +314,6 @@ def _cmd_hunt(args: argparse.Namespace) -> None:
         raise ReproError(
             "static/dynamic disagreement in the hunt confirmation"
         )
-
-
-def _cmd_perf(args: argparse.Namespace) -> None:
-    from repro.perf.baseline import (
-        DEFAULT_SNAPSHOT, perf_baseline, render_perf_report,
-    )
-
-    artifacts = [part.strip() for part in args.artifacts.split(",")]
-    report = perf_baseline(
-        n_runs=args.runs,
-        seed=args.seed,
-        workers=args.workers,
-        artifacts=artifacts,
-        backend=args.backend,
-        snapshot_path=(
-            None if args.no_snapshot else (args.snapshot or DEFAULT_SNAPSHOT)
-        ),
-        profile_path=args.profile,
-        progress=lambda message: print(f"# {message}", file=sys.stderr),
-    )
-    if args.json:
-        import json
-
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_perf_report(report))
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -829,35 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(everything)
     _add_sequential_flags(everything)
     everything.set_defaults(func=_cmd_all)
-
-    perf = sub.add_parser(
-        "perf", help="sweep-engine throughput baseline (host-dependent)"
-    )
-    perf.add_argument("--runs", type=int, default=12,
-                      help="trials per hypothesis in the measured sweep")
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--workers", type=int, default=1,
-                      help="also time a parallel pass at this width")
-    perf.add_argument(
-        "--artifacts", default="fig5,fig8",
-        help="comma-separated sweep subset to measure "
-             "(fig5,fig7,fig8,table3)",
-    )
-    perf.add_argument(
-        "--profile", default=None, metavar="OUT.pstats",
-        help="dump a cProfile of the serial pass to this file",
-    )
-    perf.add_argument(
-        "--snapshot", default=None, metavar="BENCH.json",
-        help="merge results into this benchmark snapshot "
-             "(default: benchmarks/BENCH_parallel.json)",
-    )
-    perf.add_argument("--no-snapshot", action="store_true",
-                      help="do not write a benchmark snapshot")
-    perf.add_argument("--json", action="store_true",
-                      help="emit the full report as JSON")
-    _add_backend_flag(perf)
-    perf.set_defaults(func=_cmd_perf)
 
     serve = sub.add_parser(
         "serve", help="run the fault-tolerant attack-evaluation daemon"

@@ -11,9 +11,8 @@ Every trial observes a **fresh machine** (memory hierarchy + predictor
 + core) with a trial-specific seed, so run-to-run variation comes from
 the modelled DRAM/interconnect jitter, matching the paper's
 distribution-based methodology.  "Fresh" is semantic, not allocative:
-with :attr:`AttackConfig.batch_trials` (the default) the runner keeps
-one warm machine per experiment and resets it in place between trials
-via the warm-machine reset protocol
+the first trial builds the machine and the runner resets it in place
+for every later trial via the warm-machine reset protocol
 (:meth:`repro.memory.hierarchy.MemorySystem.reset` +
 :meth:`repro.pipeline.core.Core.reset`), which is byte-identical to
 reconstruction and several times faster.  The predictor chain is the
@@ -26,16 +25,8 @@ re-wrapping would advance that stream differently.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory
@@ -123,12 +114,6 @@ class AttackConfig:
             runaway simulation aborts with
             :class:`~repro.errors.SimulationError` instead of burning
             the sweep's budget.
-        batch_trials: Reuse one warm core/memory pair across the
-            experiment's trials via the reset protocol instead of
-            reconstructing the machine per trial.  Results are
-            byte-identical either way (tested); disable only to
-            cross-check that equivalence or to debug reset-protocol
-            regressions.
         backend: Simulation backend executing the trial loop
             (:mod:`repro.sim`): ``"scalar"`` (the historical
             interpreter loop), ``"batched"`` (numpy lockstep lanes,
@@ -150,7 +135,6 @@ class AttackConfig:
     decode_cycles_per_line: int = 120
     seed: int = 0
     max_trial_cycles: Optional[int] = None
-    batch_trials: bool = True
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
     layout: Layout = field(default_factory=Layout)
@@ -250,8 +234,8 @@ class AttackRunner:
                 f"{variant.name} does not support the "
                 f"{self.config.channel.value} channel (Table II/III)"
             )
-        # The warm machine reused across trials when batch_trials is
-        # set (None until the first trial builds it cold).
+        # The warm machine reused across trials (None until the first
+        # trial builds it cold).
         self._warm: Optional[Tuple[MemorySystem, Core]] = None
         # The trial-loop executor (repro.sim): resolved eagerly so an
         # unknown name or unavailable backend fails here, not mid-sweep.
@@ -297,15 +281,15 @@ class AttackRunner:
     def _machine(self, trial_seed: int) -> Tuple[MemorySystem, Core]:
         """A (memory, core) pair seeded for one trial.
 
-        Cold path: construct the hierarchy and core from scratch.
-        Warm path (``batch_trials`` and a machine already exists):
-        reset both in place under the trial seed — observationally
-        identical to the cold path because the reset protocol restores
-        as-constructed state and shared-region registration survives
-        (the address mapper is stateless for translation purposes).
+        Cold path (first trial): construct the hierarchy and core from
+        scratch.  Warm path (every later trial): reset both in place
+        under the trial seed — observationally identical to the cold
+        path because the reset protocol restores as-constructed state
+        and shared-region registration survives (the address mapper is
+        stateless for translation purposes).
         """
         config = self.config
-        if config.batch_trials and self._warm is not None:
+        if self._warm is not None:
             memory, core = self._warm
             memory.reset(trial_seed)
             core.reset(predictor=self._fresh_predictor())
@@ -321,8 +305,7 @@ class AttackRunner:
             config.layout.probe_lines * config.layout.probe_stride,
         )
         core = Core(memory, self._fresh_predictor(), self._core_config())
-        if config.batch_trials:
-            self._warm = (memory, core)
+        self._warm = (memory, core)
         return memory, core
 
     def _build_env(self, trial_seed: int) -> TrialEnv:

@@ -59,7 +59,6 @@ from repro.perf.counters import COUNTERS, PerfCounters
 from repro.perf.observe import now
 from repro.sim import (
     clear_fallback_journal,
-    fallback_histogram,
     fallback_journal,
     record_fallbacks,
 )
@@ -257,9 +256,7 @@ def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
     assert _WORKER_EXECUTOR is not None, "worker initializer did not run"
     before = COUNTERS.snapshot()
     fallback_mark = len(fallback_journal())
-    started = now()
     cell = execute_spec(spec, _WORKER_EXECUTOR)
-    busy_s = now() - started
     failed = cell.classification is CellClassification.FAILED
     return {
         "cell_id": spec.cell_id,
@@ -269,7 +266,6 @@ def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
         # Batched-backend fallbacks are journaled process-locally; ship
         # this cell's events so the parent sees the sweep-wide truth.
         "fallbacks": fallback_journal()[fallback_mark:],
-        "busy_s": busy_s,
     }
 
 
@@ -293,7 +289,6 @@ class SweepStats:
     cells_run: int = 0
     cells_failed: int = 0
     elapsed_s: float = 0.0
-    busy_s: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
     #: (cell, reason) batched→scalar fallbacks from every process that
     #: ran cells for this pass — workers ship theirs back, so this is
@@ -301,57 +296,11 @@ class SweepStats:
     fallback_events: List[tuple] = field(default_factory=list)
 
     @property
-    def utilization(self) -> float:
-        """Fraction of worker-seconds spent executing cells."""
-        capacity = self.elapsed_s * (self.effective_workers or self.workers)
-        return self.busy_s / capacity if capacity > 0 else 0.0
-
-    @property
-    def vectorized_fraction(self) -> Optional[float]:
-        """Sweep-wide vectorized trial fraction; None off-batched."""
-        vector = self.counters.get("batched_vector_trials", 0)
-        fallback = self.counters.get("batched_fallback_trials", 0)
-        covered = vector + fallback
-        return vector / covered if covered else None
-
-    @property
-    def fallback_reasons(self) -> Dict[str, int]:
-        """Histogram of fallback reasons across every worker."""
-        return fallback_histogram(list(self.fallback_events))
-
-    @property
     def cells_per_s(self) -> float:
         """Cells completed per wall-clock second."""
         if self.elapsed_s <= 0:
             return 0.0
         return self.cells_run / self.elapsed_s
-
-    @property
-    def cycles_per_s(self) -> float:
-        """Simulated cycles per wall-clock second."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.counters.get("simulated_cycles", 0) / self.elapsed_s
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot (for BENCH files and ``repro perf``)."""
-        return {
-            "workers": self.workers,
-            "effective_workers": self.effective_workers or self.workers,
-            "cells_total": self.cells_total,
-            "cells_cached": self.cells_cached,
-            "cells_run": self.cells_run,
-            "cells_failed": self.cells_failed,
-            "elapsed_s": self.elapsed_s,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "cells_per_s": self.cells_per_s,
-            "cycles_per_s": self.cycles_per_s,
-            "counters": dict(self.counters),
-            "vectorized_fraction": self.vectorized_fraction,
-            "fallback_reasons": self.fallback_reasons,
-            "fallback_events": [list(event) for event in self.fallback_events],
-        }
 
 
 def run_cells(
@@ -418,9 +367,7 @@ def run_cells(
         for spec in pending:
             before = COUNTERS.snapshot()
             fallback_mark = len(fallback_journal())
-            cell_started = now()
             cell = execute_spec(spec, serial)
-            stats.busy_s += now() - cell_started
             counters.add(PerfCounters.delta(before, COUNTERS.snapshot()))
             stats.fallback_events.extend(fallback_journal()[fallback_mark:])
             stats.cells_run += 1
@@ -477,7 +424,6 @@ def run_cells(
             if outcome.status == "done":
                 result = outcome.value
                 stats.cells_run += 1
-                stats.busy_s += float(result["busy_s"])
                 counters.add(result["counters"])
                 shipped = [
                     (str(cell_name), str(reason))
@@ -514,8 +460,8 @@ def run_cells(
 
     stats.elapsed_s = now() - started
     stats.counters = counters.snapshot()
-    # Fold worker counters into this process's totals so `repro perf`
-    # style reporting sees the whole sweep regardless of sharding.
+    # Fold worker counters into this process's totals so counter
+    # readers see the whole sweep regardless of sharding.
     COUNTERS.add(stats.counters)
     if failure is not None:
         raise HarnessError(failure)

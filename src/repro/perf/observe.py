@@ -1,4 +1,4 @@
-"""Wall-clock observation and benchmark snapshot persistence.
+"""Wall-clock observation and benchmark record persistence.
 
 This module is the *only* sanctioned home for host-time reads in the
 sweep path.  Host time never influences a simulated measurement — the
@@ -47,40 +47,8 @@ class Stopwatch:
         self.laps += 1
 
 
-def throughput(count: int, seconds: float) -> float:
-    """Items per second, 0.0 when no time elapsed."""
-    return count / seconds if seconds > 0 else 0.0
-
-
-def write_bench_snapshot(
-    path: Path,
-    section: str,
-    payload: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Merge ``payload`` under ``section`` into a benchmark JSON file.
-
-    Existing sections from earlier runs are preserved, so the serial
-    baseline, warm-batching, and parallel-speedup numbers can be
-    recorded independently and accumulate in one snapshot.  Writing is
-    atomic (tmp + replace) so an interrupted bench never corrupts a
-    previous snapshot.  Returns the merged document.
-    """
-    document: Dict[str, Any] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            document = {}
-    if not isinstance(document, dict):
-        document = {}
-    document[section] = payload
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_json(str(path), document)
-    return document
-
-
-#: Root-level perf-trajectory artifact shared by the sweep benches
-#: (``BENCH_sweep.json`` next to the other ``BENCH_*.json`` files).
+#: Root-level perf-trajectory artifact shared by the sweep benches:
+#: the one ``BENCH_sweep.json`` bench record file.
 SWEEP_TRAJECTORY = Path(__file__).resolve().parents[3] / "BENCH_sweep.json"
 
 #: Environment override equivalent to ``force=True`` — the ``--force``
@@ -140,12 +108,12 @@ def write_sweep_trajectory(
 ) -> Dict[str, Any]:
     """Record one bench's sweep-level numbers in ``BENCH_sweep.json``.
 
-    Wrapper over :func:`write_bench_snapshot` targeting the root-level
-    perf-trajectory artifact, so every sweep bench reports through one
-    schema (documented in ``docs/ARCHITECTURE.md``): each section
-    carries at least ``wall_clock_s``, ``cells`` and ``cells_per_s``;
-    trial-level benches add ``trials_simulated`` / ``trials_avoided``
-    and the sequential benches their fixed-N-vs-sequential speedup.
+    That root-level perf-trajectory artifact is the one bench record
+    file, so every sweep bench reports through one schema (documented
+    in ``docs/ARCHITECTURE.md``): each section carries at least
+    ``wall_clock_s``, ``cells`` and ``cells_per_s``; trial-level
+    benches add ``trials_simulated`` / ``trials_avoided`` and the
+    sequential benches their fixed-N-vs-sequential speedup.
 
     Two invariants keep the records honest:
 
@@ -198,4 +166,31 @@ def write_sweep_trajectory(
                     f"re-run with --force (${BENCH_FORCE_ENV}=1) to "
                     "record it anyway"
                 )
-    return write_bench_snapshot(target, section, record)
+    return _merge_section(target, section, record)
+
+
+def _merge_section(
+    path: Path,
+    section: str,
+    payload: Dict[str, Any],
+) -> Dict[str, Any]:
+    """Merge ``payload`` under ``section`` into a benchmark JSON file.
+
+    Existing sections from earlier runs are preserved, so each bench
+    records independently and the numbers accumulate in one file.  A
+    missing or corrupt file starts a fresh document.  Writing is
+    atomic (tmp + replace) so an interrupted bench never corrupts a
+    previous record.  Returns the merged document.
+    """
+    document: Dict[str, Any] = {}
+    if path.exists():
+        try:
+            document = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
+            document = {}
+    if not isinstance(document, dict):
+        document = {}
+    document[section] = payload
+    path.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write_json(str(path), document)
+    return document

@@ -505,7 +505,7 @@ class ReproDaemon:
         return self._job_response(job)
 
     def stats_payload(self) -> Dict[str, Any]:
-        """Service counters for ``stats`` / ``repro perf``."""
+        """Service counters for the ``stats`` request."""
         jobs = self.queue.jobs()
         states: Dict[str, int] = {}
         for job in jobs:

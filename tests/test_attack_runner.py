@@ -10,7 +10,9 @@ from repro.core.attack import (
 )
 from repro.core.channels import ChannelType
 from repro.core.variants import SpillOverAttack, TestHitAttack, TrainTestAttack
+from repro.defenses import RandomWindowDefense
 from repro.errors import AttackError
+from repro.perf.counters import COUNTERS
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
 from repro.vp.vtage import VtagePredictor
@@ -72,6 +74,38 @@ class TestRunner:
         first = AttackRunner(TrainTestAttack(), config).run_trial(True, 0)
         second = AttackRunner(TrainTestAttack(), config).run_trial(True, 0)
         assert first.measurement == second.measurement
+
+    @pytest.mark.parametrize("channel, defended", [
+        (ChannelType.TIMING_WINDOW, False),
+        (ChannelType.PERSISTENT, False),
+        (ChannelType.TIMING_WINDOW, True),
+    ])
+    def test_warm_reset_matches_cold_construction(self, channel, defended):
+        # One runner's trial stream (first trial builds the machine,
+        # later trials reset it in place) against a fresh runner per
+        # trial.  The defended cell's R-type wrappers share one RNG per
+        # defense instance, so both sides get an identically seeded
+        # defense and consume it in the same trial order.
+        def config():
+            return AttackConfig(
+                n_runs=3, seed=5, channel=channel,
+                defense=RandomWindowDefense(3) if defended else None,
+            )
+
+        schedule = [(mapped, index) for index in range(3)
+                    for mapped in (True, False)]
+        before = COUNTERS.warm_resets
+        runner = AttackRunner(TrainTestAttack(), config())
+        warm = [runner.run_trial(mapped, index)
+                for mapped, index in schedule]
+        assert COUNTERS.warm_resets - before == len(schedule) - 1
+
+        cold_config = config()
+        cold = [AttackRunner(TrainTestAttack(), cold_config)
+                .run_trial(mapped, index) for mapped, index in schedule]
+        assert [(t.measurement, t.sim_cycles) for t in warm] == [
+            (t.measurement, t.sim_cycles) for t in cold
+        ]
 
     def test_different_trials_vary(self):
         config = AttackConfig(n_runs=2, seed=9)

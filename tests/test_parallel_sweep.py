@@ -121,14 +121,11 @@ class TestWorkerCountInvariance:
         stats, _ = _run(tmp_path, specs, "stats", workers=2)
         assert stats.cells_total == len(specs)
         assert stats.cells_failed == 0
-        assert stats.elapsed_s > 0 and stats.busy_s > 0
-        assert 0.0 < stats.utilization
+        assert stats.elapsed_s > 0
         assert stats.cells_per_s > 0
+        assert stats.workers == stats.effective_workers == 2
         assert stats.counters["trials"] > 0
         assert stats.counters["simulated_cycles"] > 0
-        payload = stats.to_payload()
-        assert payload["workers"] == 2
-        json.dumps(payload)  # JSON-serialisable
 
     def test_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(HarnessError):

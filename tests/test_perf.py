@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.perf.memo import memoize_program
-from repro.perf.observe import Stopwatch, throughput, write_bench_snapshot
+from repro.perf.observe import Stopwatch
 
 
 class TestPerfCounters:
@@ -148,56 +146,3 @@ class TestObserve:
                 pass
         assert watch.laps == 2
         assert watch.elapsed >= 0.0
-
-    def test_throughput(self):
-        assert throughput(10, 2.0) == pytest.approx(5.0)
-        assert throughput(10, 0.0) == 0.0
-
-    def test_snapshot_merges_sections(self, tmp_path):
-        path = tmp_path / "bench" / "BENCH.json"
-        write_bench_snapshot(path, "alpha", {"x": 1})
-        merged = write_bench_snapshot(path, "beta", {"y": 2})
-        assert merged == {"alpha": {"x": 1}, "beta": {"y": 2}}
-        assert json.loads(path.read_text()) == merged
-
-    def test_snapshot_survives_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text("not json{")
-        merged = write_bench_snapshot(path, "alpha", {"x": 1})
-        assert merged == {"alpha": {"x": 1}}
-
-
-class TestBaseline:
-    def test_perf_baseline_report_and_snapshot(self, tmp_path):
-        from repro.perf.baseline import perf_baseline, render_perf_report
-
-        snapshot = tmp_path / "BENCH_parallel.json"
-        report = perf_baseline(
-            n_runs=2, seed=0, workers=2, artifacts=["fig5"],
-            snapshot_path=str(snapshot),
-        )
-        assert report["cells"] == 4
-        assert report["warm_batching"]["identical"] is True
-        assert report["serial"]["cells_run"] == 4
-        assert report["parallel"]["workers"] == 2
-        assert report["parallel"]["speedup"] > 0
-        document = json.loads(snapshot.read_text())
-        assert "repro_perf" in document
-
-        rendered = render_perf_report(report)
-        assert "warm batching" in rendered
-        assert "serial sweep" in rendered
-        assert "parallel sweep" in rendered
-
-    def test_profile_dump(self, tmp_path):
-        import pstats
-
-        from repro.perf.baseline import perf_baseline
-
-        profile_path = tmp_path / "sweep.pstats"
-        perf_baseline(
-            n_runs=2, seed=0, workers=1, artifacts=["fig5"],
-            snapshot_path=None, profile_path=str(profile_path),
-        )
-        stats = pstats.Stats(str(profile_path))
-        assert stats.total_calls > 0

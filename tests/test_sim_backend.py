@@ -16,6 +16,7 @@ Three contracts keep the batched lockstep backend honest:
    actionable error instead of a mid-sweep surprise.
 """
 
+import json
 import sys
 
 import pytest
@@ -394,12 +395,33 @@ def test_vectorized_cell_journals_nothing():
 
 
 class TestSweepTrajectoryRecords:
-    def _write(self, path, payload, **kwargs):
+    def _write(self, path, payload, section="section", **kwargs):
         from repro.perf.observe import write_sweep_trajectory
 
         return write_sweep_trajectory(
-            "section", payload, path=path, **kwargs
+            section, payload, path=path, **kwargs
         )
+
+    def test_sections_merge(self, tmp_path):
+        target = tmp_path / "bench" / "BENCH_sweep.json"
+        self._write(target, {"x": 1}, section="alpha", backend="scalar",
+                    trials=2)
+        merged = self._write(target, {"y": 2}, section="beta",
+                             backend="scalar", trials=4)
+        assert merged == {
+            "alpha": {"x": 1, "backend": "scalar", "trials": 2},
+            "beta": {"y": 2, "backend": "scalar", "trials": 4},
+        }
+        assert json.loads(target.read_text()) == merged
+
+    def test_corrupt_file_is_replaced(self, tmp_path):
+        target = tmp_path / "BENCH_sweep.json"
+        target.write_text("not json{")
+        merged = self._write(target, {"cells_per_s": 10.0},
+                             section="alpha", backend="scalar", trials=2)
+        assert merged == {"alpha": {
+            "cells_per_s": 10.0, "backend": "scalar", "trials": 2,
+        }}
 
     def test_records_are_stamped(self, tmp_path, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)

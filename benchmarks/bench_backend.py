@@ -17,7 +17,6 @@ import pytest
 
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -39,7 +38,7 @@ def _sweep_pass(backend):
     from repro.harness.runner import ExecutionPolicy
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=0)
-    policy = dataclasses.replace(ExecutionPolicy.compat(), backend=backend)
+    policy = ExecutionPolicy(backend=backend)
     with tempfile.TemporaryDirectory() as scratch:
         store = CheckpointStore.open(
             str(Path(scratch) / "checkpoint"),

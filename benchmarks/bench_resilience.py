@@ -8,13 +8,12 @@ classification or is recorded as failed, injected crashes are
 recovered by retries, and the same faults replay deterministically.
 """
 
-from repro.core.variants import TrainTestAttack
 from repro.harness.faults import FaultInjector, fault_profile
+from repro.harness.parallel import artifact_plan, execute_spec
 from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
-    figure_panels_supervised,
 )
 
 from benchmarks.conftest import run_once
@@ -25,9 +24,10 @@ def _supervised_sweep():
         ExecutionPolicy.robust(max_retries=3),
         injector=FaultInjector(fault_profile("chaos"), seed=0),
     )
-    return figure_panels_supervised(
-        executor, TrainTestAttack(), "fig5", n_runs=40, seed=0
-    )
+    return [
+        (title, execute_spec(spec, executor))
+        for title, spec in artifact_plan(["fig5"], n_runs=40, seed=0)["fig5"]
+    ]
 
 
 def test_supervised_sweep_under_chaos(benchmark):

@@ -33,7 +33,6 @@ import pytest
 
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -52,11 +51,7 @@ def _sweep_pass(backend):
     from repro.harness.runner import ExecutionPolicy, SequentialPolicy
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=_SEED)
-    policy = dataclasses.replace(
-        ExecutionPolicy.compat(),
-        sequential=SequentialPolicy(),
-        backend=backend,
-    )
+    policy = ExecutionPolicy(sequential=SequentialPolicy(), backend=backend)
     meta = {"version": __version__, "n_runs": _N_RUNS, "seed": _SEED}
     with tempfile.TemporaryDirectory() as scratch:
         store = CheckpointStore.open(

@@ -48,7 +48,7 @@ def _sweep_pass(sequential=None):
     from repro.harness.runner import ExecutionPolicy, SupervisedCell
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=_SEED)
-    policy = ExecutionPolicy.compat()
+    policy = ExecutionPolicy()
     meta = {"version": __version__, "n_runs": _N_RUNS, "seed": _SEED}
     if sequential is not None:
         policy = dataclasses.replace(policy, sequential=sequential)

@@ -78,7 +78,7 @@ def _digest(payload) -> str:
 
 def _serial_baselines(specs):
     """Clean serial payloads, keyed by content-addressed job id."""
-    executor = ResilientExecutor(ExecutionPolicy.compat())
+    executor = ResilientExecutor(ExecutionPolicy())
     baselines = {}
     for spec in specs:
         normalized = normalize_spec(dict(spec))

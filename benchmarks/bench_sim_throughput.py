@@ -208,7 +208,7 @@ def test_parallel_sweep_speedup():
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
     meta = {"version": __version__, "n_runs": 8, "seed": 0}
-    policy = ExecutionPolicy.compat()
+    policy = ExecutionPolicy()
     backend_name = resolve_backend_name(policy.backend)
 
     def one_pass(workers):

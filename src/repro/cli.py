@@ -85,14 +85,10 @@ def parse_defense(text: Optional[str]) -> Optional[Defense]:
 def _sequential_policy(args: argparse.Namespace):
     """The :class:`SequentialPolicy` requested by the CLI flags.
 
-    Returns ``None`` for fixed-N runs (the default and ``--fixed-n``,
-    which exists so validation scripts can *assert* the byte-identical
-    historical behaviour explicitly).
+    Returns ``None`` for fixed-N runs (the default).
     """
     from repro.harness.runner import SequentialPolicy
 
-    if args.fixed_n and args.sequential:
-        raise ReproError("--fixed-n and --sequential are mutually exclusive")
     if not args.sequential:
         if args.interim_looks:
             raise ReproError("--interim-looks requires --sequential")
@@ -111,6 +107,26 @@ def _sequential_policy(args: argparse.Namespace):
     return SequentialPolicy(looks=looks)
 
 
+def _execution_policy(args: argparse.Namespace):
+    """The supervised-cell policy the ``attack``/``all`` flags ask for:
+    :meth:`ExecutionPolicy.robust` (retries plus adaptive
+    re-measurement) with the sequential, strict-preflight and backend
+    flags applied.
+    """
+    import dataclasses
+
+    from repro.harness.runner import ExecutionPolicy
+
+    return dataclasses.replace(
+        ExecutionPolicy.robust(
+            max_retries=2 if args.max_retries is None else args.max_retries
+        ),
+        sequential=_sequential_policy(args),
+        strict_preflight=args.strict_preflight,
+        backend=args.backend,
+    )
+
+
 def _add_sequential_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sequential", action="store_true",
@@ -122,11 +138,6 @@ def _add_sequential_flags(parser: argparse.ArgumentParser) -> None:
         "--interim-looks", default=None, metavar="N1,N2,...",
         help="with --sequential: explicit cumulative trial counts for "
              "the interim looks (default: 20/40/60/80/100%% of --runs)",
-    )
-    parser.add_argument(
-        "--fixed-n", action="store_true",
-        help="assert the historical fixed-N protocol (byte-identical "
-             "artifacts; rejects --sequential)",
     )
 
 
@@ -156,29 +167,16 @@ def _cmd_fig2(args: argparse.Namespace) -> None:
 
 def _cmd_attack(args: argparse.Namespace) -> None:
     variant = variant_by_name(args.variant)
-    seq_policy = _sequential_policy(args)
-    if seq_policy is not None or args.fault_profile or (
+    policy = _execution_policy(args)
+    if policy.sequential is not None or args.fault_profile or (
         args.max_retries is not None
     ) or args.strict_preflight:
         # Route through the resilient executor: retries, adaptive
         # re-measurement, sequential early stopping and (optional)
         # fault injection.
-        import dataclasses
-
         from repro.harness.faults import FaultInjector, fault_profile
-        from repro.harness.runner import ExecutionPolicy, ResilientExecutor
+        from repro.harness.runner import ResilientExecutor
 
-        policy = ExecutionPolicy.robust(
-            max_retries=(
-                args.max_retries if args.max_retries is not None else 2
-            )
-        )
-        if seq_policy is not None:
-            policy = dataclasses.replace(policy, sequential=seq_policy)
-        if args.strict_preflight:
-            policy = dataclasses.replace(policy, strict_preflight=True)
-        if args.backend is not None:
-            policy = dataclasses.replace(policy, backend=args.backend)
         executor = ResilientExecutor(
             policy,
             injector=(
@@ -272,13 +270,11 @@ def _cmd_all(args: argparse.Namespace) -> None:
     )
     written = run_all(
         args.out, n_runs=args.runs, seed=args.seed, artifacts=artifacts,
-        resume=args.resume, max_retries=args.max_retries,
+        resume=args.resume,
         fault_profile_name=args.fault_profile,
+        policy=_execution_policy(args),
         workers=args.workers,
         cell_timeout_s=args.cell_timeout,
-        sequential=_sequential_policy(args),
-        strict_preflight=args.strict_preflight,
-        backend=args.backend,
     )
     for name, path in sorted(written.items()):
         print(f"{name}: {path}")

@@ -7,6 +7,7 @@ over these.  Runs are deterministic for a given seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attack import AttackConfig, AttackRunner, ExperimentResult
@@ -79,10 +80,9 @@ def run_cell(
 
 
 def _default_executor(executor):
-    """The behaviour-preserving supervised executor used by drivers.
+    """The supervised executor the paper-artifact drivers run under.
 
-    Every driver below runs its cells through the resilient execution
-    layer; the default :meth:`ExecutionPolicy.compat` policy only
+    The default :class:`~repro.harness.runner.ExecutionPolicy` only
     intervenes on errors, so results are identical to the historical
     fire-and-forget harness unless something actually fails.
     """
@@ -90,6 +90,21 @@ def _default_executor(executor):
         return executor
     from repro.harness.runner import ResilientExecutor
     return ResilientExecutor()
+
+
+def _figure_panels(
+    figure: str, n_runs: int, seed: int, executor,
+) -> List[Tuple[str, ExperimentResult]]:
+    """One figure's planned panels, dropping failed cells."""
+    from repro.harness.parallel import artifact_plan, execute_spec
+
+    executor = _default_executor(executor)
+    panels = []
+    for title, spec in artifact_plan([figure], n_runs, seed)[figure]:
+        cell = execute_spec(spec, executor)
+        if cell.result is not None:
+            panels.append((title, cell.result))
+    return panels
 
 
 def figure5_panels(
@@ -101,24 +116,14 @@ def figure5_panels(
     no-VP, persistent LVP.  Expected shape: the no-VP p-values are
     above 0.05 and the LVP ones below.
     """
-    from repro.harness.runner import figure_panels_supervised, plain_panels
-
-    return plain_panels(figure_panels_supervised(
-        _default_executor(executor), TrainTestAttack(), "fig5",
-        n_runs, seed,
-    ))
+    return _figure_panels("fig5", n_runs, seed, executor)
 
 
 def figure8_panels(
     n_runs: int = 100, seed: int = 0, executor=None,
 ) -> List[Tuple[str, ExperimentResult]]:
     """Figure 8: Test + Hit, same four panels as Figure 5."""
-    from repro.harness.runner import figure_panels_supervised, plain_panels
-
-    return plain_panels(figure_panels_supervised(
-        _default_executor(executor), TestHitAttack(), "fig8",
-        n_runs, seed,
-    ))
+    return _figure_panels("fig8", n_runs, seed, executor)
 
 
 def table3_results(
@@ -126,20 +131,26 @@ def table3_results(
     executor=None,
 ) -> Dict[AttackCategory, Dict[str, Optional[ExperimentResult]]]:
     """Table III: every category x channel x {no VP, VP} cell."""
-    from repro.harness.runner import plain_results, table3_supervised
+    from repro.harness.parallel import (
+        artifact_plan, execute_spec, table3_grid,
+    )
 
-    return plain_results(table3_supervised(
-        _default_executor(executor), n_runs, seed, predictor
-    ))
+    executor = _default_executor(executor)
+    return table3_grid(
+        artifact_plan(["table3"], n_runs, seed, predictor)["table3"],
+        lambda spec: execute_spec(spec, executor).result,
+    )
 
 
 def figure7_result(seed: int = 7, exponent: int = FIGURE7_EXPONENT,
                    executor=None) -> RsaAttackResult:
     """Figure 7: the per-iteration RSA exponent leak."""
-    from repro.harness.runner import figure7_supervised
+    from repro.harness.parallel import artifact_plan, execute_spec
 
-    cell = figure7_supervised(
-        _default_executor(executor), seed=seed, exponent=exponent
+    [(_, spec)] = artifact_plan(["fig7"])["fig7"]
+    cell = execute_spec(
+        replace(spec, seed=seed, exponent=exponent),
+        _default_executor(executor),
     )
     if cell.result is None:
         raise HarnessError(

@@ -36,12 +36,12 @@ from repro.analysis.enumerate import (
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory, _EVAL_CONFIDENCE
 from repro.harness.checkpoint import CheckpointStore, atomic_write_json
+from repro.harness.parallel import _slug
 from repro.harness.runner import (
     ExecutionPolicy,
     ResilientExecutor,
     SequentialPolicy,
     SupervisedCell,
-    _slug,
 )
 from repro.workloads.combos import ComboAttack
 

@@ -1,9 +1,13 @@
-"""Process-parallel execution of supervised sweep cells.
+"""The paper's cell plan and the one engine that runs it.
 
 The paper's artifacts decompose into independent *cells* — one
-(variant, channel, predictor) experiment or the Figure 7 RSA run —
-and every cell is a pure function of its ``(cell_id, seed, policy,
-fault profile)`` inputs:
+(variant, channel, predictor) experiment or the Figure 7 RSA run.
+:func:`artifact_plan` is the only enumeration of those cells: every
+driver (``repro all``, the ``fig5``/``fig8``/``table3``/``fig7``
+commands, the benches) reads its cells from it.
+
+Every cell is a pure function of its ``(cell_id, seed, policy, fault
+profile)`` inputs:
 
 * trial seeds derive only from the cell's base seed and trial index;
 * fault-injection draws are keyed by ``(profile, seed, cell_id,
@@ -14,21 +18,19 @@ fault profile)`` inputs:
   not depend on which cells ran before.
 
 Cells can therefore execute in any order, in any process, and produce
-byte-identical journal payloads.  This module exploits that: it shards
-the cell list across a supervised persistent worker pool
-(:mod:`repro.serve.supervisor` — heartbeats, hang detection, per-cell
-deadlines, restart backoff), with the **parent as the single writer**
-— workers run cells against no store and ship the journal payload
-back; the parent persists each payload through the existing
-:class:`~repro.harness.checkpoint.CheckpointStore` (atomic per-cell
-files).  A later serial pass (the artifact assembly in
-:func:`repro.harness.persistence.run_all`) then finds every cell
-already journaled and reuses it verbatim, which is exactly the
-checkpoint-resume path — so parallel runs inherit the resume
-machinery's byte-identity guarantee instead of re-implementing it.
+byte-identical journal payloads.  :func:`run_cells` exploits that: it
+runs the cells in-process or shards them across a supervised
+persistent worker pool (:mod:`repro.serve.supervisor` — heartbeats,
+hang detection, per-cell deadlines, restart backoff).  Either way each
+cell goes through :func:`run_spec`, the parent is the **single
+writer** of the :class:`~repro.harness.checkpoint.CheckpointStore`
+(atomic per-cell files), and every spec's
+:class:`~repro.harness.runner.SupervisedCell` comes back in
+:attr:`SweepStats.cells` — cached, run or failed — so callers render
+from the returned cells without a second pass.
 
-Failed cells are deliberately **not** journaled (matching the serial
-executor): the assembly pass re-attempts them, deterministically
+Failed cells are deliberately **not** journaled (matching the
+executor): a resumed sweep re-attempts them, deterministically
 reproducing the same failure record.
 """
 
@@ -36,12 +38,16 @@ from __future__ import annotations
 
 import os
 import queue
+import re
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.channels import ChannelType
+from repro.core.model import AttackCategory
 from repro.core.variants import ALL_VARIANTS, AttackVariant
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
@@ -51,8 +57,6 @@ from repro.harness.runner import (
     ExecutionPolicy,
     ResilientExecutor,
     SupervisedCell,
-    _PANEL_SPECS,
-    _slug,
 )
 from repro.memory.hierarchy import MemoryConfig
 from repro.perf.counters import COUNTERS, PerfCounters
@@ -97,7 +101,7 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Cell specifications
+# Cell specifications and the paper's cell plan
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,68 +137,130 @@ def _variant_by_name(name: str) -> AttackVariant:
     raise HarnessError(f"unknown attack variant {name!r}")
 
 
+def _slug(text: str) -> str:
+    collapsed = re.sub(
+        r"-+", "-",
+        "".join(ch if ch.isalnum() else "-" for ch in text.lower()),
+    )
+    return collapsed.strip("-")
+
+
+#: The attacked variant of each Figure 5/8, by artifact name.
+_FIGURE_VARIANTS = {"fig5": "Train + Test", "fig8": "Test + Hit"}
+
+#: The four Figure 5/8 panels, in paper order: (title, channel,
+#: predictor).
+_FIGURE_PANELS: Tuple[Tuple[str, ChannelType, str], ...] = (
+    ("(1) Timing-Window Channel (no VP)", ChannelType.TIMING_WINDOW, "none"),
+    ("(2) Timing-Window Channel (LVP)", ChannelType.TIMING_WINDOW, "lvp"),
+    ("(3) Persistent Channel (no VP)", ChannelType.PERSISTENT, "none"),
+    ("(4) Persistent Channel (LVP)", ChannelType.PERSISTENT, "lvp"),
+)
+
+#: Table III's per-category slots, in column order; a variant without
+#: the persistent channel leaves its ``pc_*`` slots empty.
+_TABLE3_SLOTS = ("tw_novp", "tw_vp", "pc_novp", "pc_vp")
+
+#: A plan row's label: a panel title (fig5/fig8), ``None`` (fig7) or a
+#: ``(category, slot)`` pair (table3).
+PlanLabel = Union[str, None, Tuple[AttackCategory, str]]
+
+
+def artifact_plan(
+    artifacts: Sequence[str],
+    n_runs: int = 100,
+    seed: int = 0,
+    predictor: str = "lvp",
+) -> Dict[str, List[Tuple[PlanLabel, CellSpec]]]:
+    """The supervised cells behind the chosen artifacts, per artifact.
+
+    The single enumeration of the paper's cells: ids, per-cell
+    parameters and order are decided here and nowhere else.  Artifacts
+    without cells (``table1``/``table2``) are skipped; the result keeps
+    the fixed order fig5, fig8, fig7, table3 whatever order
+    ``artifacts`` names them in.  ``predictor`` is Table III's VP
+    column; the figure panels always use the LVP.
+    """
+    plan: Dict[str, List[Tuple[PlanLabel, CellSpec]]] = {}
+    for figure, variant_name in _FIGURE_VARIANTS.items():
+        if figure in artifacts:
+            plan[figure] = [
+                (title, CellSpec(
+                    cell_id=f"{figure}/{channel.value}-{panel_predictor}",
+                    variant=variant_name,
+                    channel=channel.value,
+                    predictor=panel_predictor,
+                    n_runs=n_runs,
+                    seed=seed,
+                ))
+                for title, channel, panel_predictor in _FIGURE_PANELS
+            ]
+    if "fig7" in artifacts:
+        from repro.harness.experiment import FIGURE7_EXPONENT
+
+        plan["fig7"] = [(None, CellSpec(
+            cell_id="fig7/rsa", kind="rsa", seed=7,
+            exponent=FIGURE7_EXPONENT,
+        ))]
+    if "table3" in artifacts:
+        rows: List[Tuple[PlanLabel, CellSpec]] = []
+        for variant in ALL_VARIANTS:
+            slug = _slug(variant.category.value)
+            cells = [
+                ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
+                ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
+            ]
+            if ChannelType.PERSISTENT in variant.supported_channels:
+                cells += [
+                    ("pc_novp", ChannelType.PERSISTENT, "none"),
+                    ("pc_vp", ChannelType.PERSISTENT, predictor),
+                ]
+            for slot, channel, cell_predictor in cells:
+                rows.append(((variant.category, slot), CellSpec(
+                    cell_id=f"table3/{slug}/{slot}",
+                    variant=variant.name,
+                    channel=channel.value,
+                    predictor=cell_predictor,
+                    n_runs=n_runs,
+                    seed=seed,
+                )))
+        plan["table3"] = rows
+    return plan
+
+
 def sweep_specs(
     artifacts: Sequence[str],
     n_runs: int = 100,
     seed: int = 0,
     predictor: str = "lvp",
 ) -> List[CellSpec]:
-    """The supervised cells behind the chosen ``repro all`` artifacts.
+    """The :func:`artifact_plan` cells of ``artifacts``, flattened."""
+    return [
+        spec
+        for rows in artifact_plan(artifacts, n_runs, seed, predictor).values()
+        for _, spec in rows
+    ]
 
-    Mirrors the enumeration of
-    :func:`~repro.harness.runner.figure_panels_supervised`,
-    :func:`~repro.harness.runner.table3_supervised` and
-    :func:`~repro.harness.runner.figure7_supervised` — same cell ids,
-    same per-cell parameters — so prefilling these specs populates
-    exactly the journal entries the serial assembly pass will look up.
+
+def table3_grid(
+    rows: Sequence[Tuple[Any, CellSpec]],
+    value_of: Callable[[CellSpec], Any],
+) -> Dict[AttackCategory, Dict[str, Any]]:
+    """Table III's category x slot grid over the plan's table3 rows.
+
+    ``value_of`` maps each planned spec to its grid entry; slots a
+    variant does not run stay ``None``.
     """
-    specs: List[CellSpec] = []
-    figure_variants = {"fig5": "Train + Test", "fig8": "Test + Hit"}
-    for figure, variant_name in figure_variants.items():
-        if figure not in artifacts:
-            continue
-        for _, channel, panel_predictor in _PANEL_SPECS:
-            specs.append(CellSpec(
-                cell_id=f"{figure}/{channel.value}-{panel_predictor}",
-                variant=variant_name,
-                channel=channel.value,
-                predictor=panel_predictor,
-                n_runs=n_runs,
-                seed=seed,
-            ))
-    if "fig7" in artifacts:
-        from repro.harness.experiment import FIGURE7_EXPONENT
-
-        specs.append(CellSpec(
-            cell_id="fig7/rsa", kind="rsa", seed=7,
-            exponent=FIGURE7_EXPONENT,
-        ))
-    if "table3" in artifacts:
-        for variant in ALL_VARIANTS:
-            slug = _slug(variant.category.value)
-            cell_plan = [
-                ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
-                ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
-            ]
-            if ChannelType.PERSISTENT in variant.supported_channels:
-                cell_plan += [
-                    ("pc_novp", ChannelType.PERSISTENT, "none"),
-                    ("pc_vp", ChannelType.PERSISTENT, predictor),
-                ]
-            for key, channel, cell_predictor in cell_plan:
-                specs.append(CellSpec(
-                    cell_id=f"table3/{slug}/{key}",
-                    variant=variant.name,
-                    channel=channel.value,
-                    predictor=cell_predictor,
-                    n_runs=n_runs,
-                    seed=seed,
-                ))
-    return specs
+    grid: Dict[AttackCategory, Dict[str, Any]] = {}
+    for (category, slot), spec in rows:
+        grid.setdefault(category, dict.fromkeys(_TABLE3_SLOTS))[slot] = (
+            value_of(spec)
+        )
+    return grid
 
 
 def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
-    """Run one spec through an executor, exactly as the serial drivers do."""
+    """Run one spec through an executor."""
     if spec.kind == "rsa":
         from repro.harness.experiment import RSA_DRAM
 
@@ -214,11 +280,56 @@ def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
     )
 
 
+def run_spec(spec: CellSpec, executor: ResilientExecutor) -> Dict[str, object]:
+    """Run one spec; return its cell payload plus telemetry.
+
+    The one cell body of every sweep and serve path, in-process or in
+    a worker.  The result is picklable: ``payload`` is the cell's
+    journal payload (shipped for failed cells too, which the caller
+    must not journal), ``counters`` the perf-counter delta,
+    ``fallbacks`` the batched→scalar fallback events this cell added
+    to the process-local journal, and ``busy_s`` its wall clock.
+    """
+    before = COUNTERS.snapshot()
+    fallback_mark = len(fallback_journal())
+    started = now()
+    cell = execute_spec(spec, executor)
+    return {
+        "cell_id": spec.cell_id,
+        "failed": cell.classification is CellClassification.FAILED,
+        "payload": cell.to_payload(),
+        "note": cell.note,
+        "counters": PerfCounters.delta(before, COUNTERS.snapshot()),
+        "fallbacks": fallback_journal()[fallback_mark:],
+        "busy_s": now() - started,
+    }
+
+
 # ----------------------------------------------------------------------
-# Worker side
+# Worker side (shared by sweeps and the serve daemon)
 # ----------------------------------------------------------------------
 
-_WORKER_EXECUTOR: Optional[ResilientExecutor] = None
+_WORKER_INJECTOR: Optional[FaultInjector] = None
+
+
+def init_worker(profile: Optional[FaultProfile], fault_seed: int) -> None:
+    """Per-process worker state: the fault injector, fresh telemetry."""
+    global _WORKER_INJECTOR
+    _WORKER_INJECTOR = (
+        FaultInjector(profile, seed=fault_seed)
+        if profile is not None else None
+    )
+    COUNTERS.reset()
+    clear_fallback_journal()
+
+
+def run_task(task: Tuple[CellSpec, ExecutionPolicy]) -> Dict[str, object]:
+    """Worker entry: :func:`run_spec` under the task's policy.
+
+    The executor has no store: the parent journals the shipped payload.
+    """
+    spec, policy = task
+    return run_spec(spec, ResilientExecutor(policy, injector=_WORKER_INJECTOR))
 
 
 def _resolve_profile(
@@ -233,55 +344,19 @@ def _resolve_profile(
     return None
 
 
-def _init_worker(
-    policy: ExecutionPolicy,
-    fault_profile_name: Optional[str],
-    fault_seed: int,
-    fault_profile_obj: Optional[FaultProfile] = None,
-) -> None:
-    """Build the per-process executor (no store: the parent journals)."""
-    global _WORKER_EXECUTOR
-    profile = _resolve_profile(fault_profile_name, fault_profile_obj)
-    injector = (
-        FaultInjector(profile, seed=fault_seed)
-        if profile is not None else None
-    )
-    _WORKER_EXECUTOR = ResilientExecutor(policy, injector=injector, store=None)
-    COUNTERS.reset()
-    clear_fallback_journal()
-
-
-def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
-    """Execute one cell; return its journal payload + perf telemetry."""
-    assert _WORKER_EXECUTOR is not None, "worker initializer did not run"
-    before = COUNTERS.snapshot()
-    fallback_mark = len(fallback_journal())
-    cell = execute_spec(spec, _WORKER_EXECUTOR)
-    failed = cell.classification is CellClassification.FAILED
-    return {
-        "cell_id": spec.cell_id,
-        "failed": failed,
-        "payload": None if failed else cell.to_payload(),
-        "counters": PerfCounters.delta(before, COUNTERS.snapshot()),
-        # Batched-backend fallbacks are journaled process-locally; ship
-        # this cell's events so the parent sees the sweep-wide truth.
-        "fallbacks": fallback_journal()[fallback_mark:],
-    }
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 
 @dataclass
 class SweepStats:
-    """Telemetry of one parallel (or serial-fallback) prefill pass."""
+    """What one :func:`run_cells` call did, and every cell it returns."""
 
     workers: int
     #: Workers that could actually run cells concurrently: 1 when the
-    #: serial fallback path executed (workers == 1 or <= 1 pending
-    #: cell), else ``min(workers, pending cells)``.  Benches use this
-    #: to refuse to stamp a "parallel" record that effectively ran
+    #: in-process path executed (workers == 1 or <= 1 pending cell),
+    #: else ``min(workers, pending cells)``.  Benches use this to
+    #: refuse to stamp a "parallel" record that effectively ran
     #: serially.
     effective_workers: int = 0
     cells_total: int = 0
@@ -294,6 +369,9 @@ class SweepStats:
     #: ran cells for this pass — workers ship theirs back, so this is
     #: the sweep-wide view, not the parent's.
     fallback_events: List[tuple] = field(default_factory=list)
+    #: Every spec's cell by cell id — replayed from the journal, run,
+    #: or failed (failed cells are returned but never journaled).
+    cells: Dict[str, SupervisedCell] = field(default_factory=dict)
 
     @property
     def cells_per_s(self) -> float:
@@ -318,63 +396,73 @@ def run_cells(
 ) -> SweepStats:
     """Execute ``specs``, journaling results into ``store``.
 
-    With ``workers > 1`` the cells run on a supervised persistent
-    worker pool (:class:`repro.serve.supervisor.WorkerSupervisor`) and
-    the parent is the only process that writes the checkpoint journal.
-    The supervisor adds the robustness the bare process pool lacked: a
-    per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
-    hang detection, and deterministic redispatch after a worker death —
-    a redispatched cell reruns the identical spec and journals the
-    byte-identical payload.  A cell that exhausts ``max_dispatches``
-    or raises out of the executor fails the sweep loudly.
+    Cells already in the store are replayed through an executor bound
+    to it (no simulation; ``strict_preflight`` still checks the
+    journaled verdicts).  The rest go through :func:`run_spec`:
 
-    With ``workers == 1`` the cells run in-process through an executor
-    bound directly to the store — the exact serial code path, kept as
-    the fallback so the two modes cannot drift apart.  (No wall-clock
-    deadline applies there: the parent cannot preempt itself.)
+    * with ``workers == 1`` (or at most one pending cell) in-process;
+    * otherwise on a supervised persistent worker pool
+      (:class:`repro.serve.supervisor.WorkerSupervisor`), which adds a
+      per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
+      hang detection, and deterministic redispatch after a worker
+      death — a redispatched cell reruns the identical spec and yields
+      the byte-identical payload.  A cell that exhausts
+      ``max_dispatches`` or raises out of the executor fails the sweep
+      loudly.  (No deadline applies in-process: the parent cannot
+      preempt itself.)
 
-    When called from the main thread with ``workers > 1``, SIGINT is
-    handled cleanly: outstanding cells are cancelled, already-completed
-    payloads stay journaled (flushed incrementally), and
+    In both modes the parent journals each non-failed payload as soon
+    as it arrives, so an interrupt or crash later loses nothing already
+    completed.  When called from the main thread with ``workers > 1``,
+    SIGINT is handled cleanly: outstanding cells are cancelled and
     ``KeyboardInterrupt`` is raised so the CLI exits nonzero and
     ``--resume`` picks up from the flushed journal.
 
-    Cells already present in the store are skipped (resume semantics).
-    The journal payloads are byte-identical for any worker count; the
-    determinism tests hash them across worker counts to enforce this.
+    Every spec's cell is returned in :attr:`SweepStats.cells`.  Journal
+    payloads and returned cells are byte-identical for any worker
+    count; the determinism tests hash them across worker counts.
     """
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
-    policy = policy or ExecutionPolicy.compat()
+    policy = policy or ExecutionPolicy()
     profile = _resolve_profile(fault_profile_name, fault_profile_obj)
+    injector = (
+        FaultInjector(profile, seed=fault_seed)
+        if profile is not None else None
+    )
     stats = SweepStats(workers=workers, cells_total=len(specs))
+    started = now()
+    counters = PerfCounters()
+
+    replay = ResilientExecutor(policy, injector=injector, store=store)
     pending: List[CellSpec] = []
     for spec in specs:
         if store is not None and store.has(spec.cell_id):
             stats.cells_cached += 1
+            stats.cells[spec.cell_id] = execute_spec(spec, replay)
         else:
             pending.append(spec)
-    started = now()
-    counters = PerfCounters()
+
+    def collect(result: Dict[str, object]) -> None:
+        cell_id = str(result["cell_id"])
+        payload = result["payload"]
+        counters.add(result["counters"])
+        stats.fallback_events.extend(result["fallbacks"])
+        stats.cells_run += 1
+        if result["failed"]:
+            stats.cells_failed += 1
+        elif store is not None:
+            store.save(cell_id, payload)
+        cell = SupervisedCell.from_payload(payload)
+        stats.cells[cell_id] = cell
+        if progress is not None:
+            progress(f"{cell_id}: {cell.classification.value}")
 
     if workers == 1 or len(pending) <= 1:
         stats.effective_workers = 1
-        injector = (
-            FaultInjector(profile, seed=fault_seed)
-            if profile is not None else None
-        )
-        serial = ResilientExecutor(policy, injector=injector, store=store)
+        executor = ResilientExecutor(policy, injector=injector)
         for spec in pending:
-            before = COUNTERS.snapshot()
-            fallback_mark = len(fallback_journal())
-            cell = execute_spec(spec, serial)
-            counters.add(PerfCounters.delta(before, COUNTERS.snapshot()))
-            stats.fallback_events.extend(fallback_journal()[fallback_mark:])
-            stats.cells_run += 1
-            if cell.classification is CellClassification.FAILED:
-                stats.cells_failed += 1
-            if progress is not None:
-                progress(f"{spec.cell_id}: {cell.classification.value}")
+            collect(run_spec(spec, executor))
         stats.elapsed_s = now() - started
         stats.counters = counters.snapshot()
         return stats
@@ -389,9 +477,9 @@ def run_cells(
             job_timeout_s=cell_timeout_s,
             max_dispatches=max_dispatches,
         ),
-        run_fn=_run_spec_in_worker,
-        init_fn=_init_worker,
-        init_args=(policy, None, fault_seed, profile),
+        run_fn=run_task,
+        init_fn=init_worker,
+        init_args=(profile, fault_seed),
         fault_profile=profile,
         fault_seed=fault_seed,
     ).start()
@@ -411,7 +499,7 @@ def run_cells(
     failure: Optional[str] = None
     try:
         for spec in pending:
-            supervisor.submit(spec.cell_id, spec, outcomes.put)
+            supervisor.submit(spec.cell_id, (spec, policy), outcomes.put)
         received = 0
         while received < len(pending):
             try:
@@ -422,28 +510,11 @@ def run_cells(
                 continue
             received += 1
             if outcome.status == "done":
-                result = outcome.value
-                stats.cells_run += 1
-                counters.add(result["counters"])
-                shipped = [
-                    (str(cell_name), str(reason))
-                    for cell_name, reason in result.get("fallbacks") or []
-                ]
-                if shipped:
-                    stats.fallback_events.extend(shipped)
-                    # Fold into this process's journal too, so
-                    # `fallback_journal()` stays the one source of
-                    # truth regardless of sharding.
-                    record_fallbacks(shipped)
-                if result["failed"]:
-                    stats.cells_failed += 1
-                elif store is not None:
-                    # Flush incrementally: an interrupt or crash later
-                    # loses nothing already completed.
-                    store.save(str(result["cell_id"]), result["payload"])
-                if progress is not None:
-                    status = "failed" if result["failed"] else "done"
-                    progress(f"{outcome.task_id}: {status}")
+                # Fold the worker's fallbacks into this process's
+                # journal too, so `fallback_journal()` stays the one
+                # source of truth regardless of sharding.
+                record_fallbacks(outcome.value["fallbacks"])
+                collect(outcome.value)
             elif outcome.status == "cancelled":
                 continue
             else:  # "error" or "lost": fail the sweep loudly

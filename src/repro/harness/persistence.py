@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 from repro._version import __version__
 from repro.core.attack import ExperimentResult
 from repro.core.model import verdict_summary
-from repro.core.variants import TestHitAttack, TrainTestAttack
 from repro.crypto.leak import RsaAttackResult
 from repro.errors import HarnessError
 from repro.harness.checkpoint import (
@@ -36,21 +35,8 @@ from repro.harness.checkpoint import (
     atomic_write_json,
     atomic_write_text,
 )
-from repro.harness.faults import FaultInjector, fault_profile
 from repro.harness.report import figure7_report, figure_report, table3_report
-from repro.harness.runner import (
-    AdaptivePolicy,
-    ExecutionPolicy,
-    ResilientExecutor,
-    RetryPolicy,
-    SequentialPolicy,
-    SupervisedCell,
-    figure7_supervised,
-    figure_panels_supervised,
-    plain_panels,
-    plain_results,
-    table3_supervised,
-)
+from repro.harness.runner import ExecutionPolicy, SupervisedCell
 from repro.harness.tables import render_table1, render_table2
 
 #: Execution record attached to records built outside the executor.
@@ -145,6 +131,15 @@ def save_text(path: str, text: str) -> None:
     atomic_write_text(path, text)
 
 
+#: Figure 5/8 renderings: (heading, mapped label, unmapped label).
+_FIGURE_RENDERINGS = {
+    "fig5": ("Figure 5: Train + Test attacks",
+             "mapped index", "unmapped index"),
+    "fig8": ("Figure 8: Test + Hit attacks",
+             "mapped data", "unmapped data"),
+}
+
+
 def run_all(
     out_dir: str,
     n_runs: int = 100,
@@ -152,17 +147,17 @@ def run_all(
     artifacts: Optional[List[str]] = None,
     *,
     resume: bool = False,
-    max_retries: int = 2,
     fault_profile_name: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
-    checkpoint_dir: Optional[str] = None,
     workers: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
-    sequential: Optional[SequentialPolicy] = None,
-    strict_preflight: bool = False,
-    backend: Optional[str] = None,
 ) -> Dict[str, str]:
     """Regenerate and persist the selected artifacts, resumably.
+
+    The supervised cells of every chosen artifact come from
+    :func:`repro.harness.parallel.artifact_plan` and run in one
+    :func:`repro.harness.parallel.run_cells` call; the artifacts are
+    rendered from the cells it returns.
 
     Args:
         out_dir: Existing directory to write into.
@@ -170,50 +165,27 @@ def run_all(
         seed: Base seed.
         artifacts: Subset of {"table1", "table2", "fig5", "fig7",
             "fig8", "table3"}; all of them when omitted.
-        resume: Reuse cells journaled under the checkpoint directory
+        resume: Reuse cells journaled under ``<out_dir>/checkpoint``
             by a previous (interrupted) run with the same parameters.
-        max_retries: Per-cell retries of the default policy.
         fault_profile_name: Optional fault profile to inject (mainly
             for robustness testing of the harness itself).
-        policy: Full execution policy; overrides ``max_retries``.
-        checkpoint_dir: Journal location; default
-            ``<out_dir>/checkpoint``.
-        workers: Process-pool width for the experiment cells; ``None``
-            reads :data:`repro.harness.parallel.WORKERS_ENV` and falls
-            back to 1 (serial).  With more than one worker the cells
-            are prefilled into the checkpoint journal by
-            :func:`repro.harness.parallel.run_cells` and the artifact
-            assembly below then reuses every journaled cell — the
-            resume path — so records are byte-identical to a serial
-            run for any worker count.
-        cell_timeout_s: Per-cell wall-clock deadline for the parallel
-            prefill (``None`` uses
-            :data:`repro.harness.parallel.DEFAULT_CELL_TIMEOUT_S`).
-            A hung worker is killed at the deadline and the cell is
-            redispatched deterministically.  Serial runs cannot
-            preempt themselves, so the deadline only applies with
-            ``workers > 1``.
-        sequential: Optional group-sequential early-stopping policy
-            (:class:`repro.harness.runner.SequentialPolicy`) applied to
-            every attack cell; ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.sequential`
-            there instead).  Recorded in the checkpoint metadata, so a
-            ``--resume`` across modes is rejected.
-        strict_preflight: Escalate any static/dynamic verdict
-            disagreement to a hard
-            :class:`~repro.errors.AnalysisSoundnessError` instead of a
-            report-time warning; ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.strict_preflight`
-            there instead).  Not recorded in checkpoint metadata: it
-            changes no journaled bytes, only whether a disagreement
-            aborts the run.
-        backend: Simulation backend for every attack cell's trial loop
-            (:mod:`repro.sim`); ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.backend` there
-            instead).  Deliberately *not* recorded in checkpoint
-            metadata: backends are byte-identical by contract, so
-            resuming a scalar checkpoint under ``batched`` (or vice
-            versa) is sound and replays the same records.
+        policy: Execution policy for every cell; default
+            :meth:`ExecutionPolicy.robust`.  Its ``sequential`` policy
+            is recorded in the checkpoint metadata, so a ``--resume``
+            across modes is rejected.  Its ``backend`` and
+            ``strict_preflight`` are deliberately *not* recorded: they
+            change no journaled bytes (backends are byte-identical by
+            contract), so resuming a scalar checkpoint under
+            ``batched`` is sound and replays the same records.
+        workers: Supervised-pool width for the cells; ``None`` reads
+            :data:`repro.harness.parallel.WORKERS_ENV` and falls back
+            to 1 (in-process).  Records are byte-identical for any
+            worker count.
+        cell_timeout_s: Per-cell wall-clock deadline with
+            ``workers > 1`` (``None`` uses
+            :data:`repro.harness.parallel.DEFAULT_CELL_TIMEOUT_S`).  A
+            hung worker is killed at the deadline and the cell is
+            redispatched deterministically.
 
     Returns:
         Mapping from artifact name to the path of its rendering.
@@ -222,6 +194,14 @@ def run_all(
         HarnessError: For unknown artifact names, a missing out_dir,
             or a resume against an incompatible checkpoint.
     """
+    from repro.harness.parallel import (
+        DEFAULT_CELL_TIMEOUT_S,
+        artifact_plan,
+        default_workers,
+        run_cells,
+        table3_grid,
+    )
+
     if not os.path.isdir(out_dir):
         raise HarnessError(f"output directory {out_dir!r} does not exist")
     known = ("table1", "table2", "fig5", "fig7", "fig8", "table3")
@@ -229,77 +209,36 @@ def run_all(
     for name in chosen:
         if name not in known:
             raise HarnessError(f"unknown artifact {name!r}; choose from {known}")
+    policy = policy or ExecutionPolicy.robust()
 
     written: Dict[str, str] = {}
     meta: Dict[str, object] = {
         "version": __version__, "n_runs": n_runs, "seed": seed,
     }
-    seq_policy = policy.sequential if policy is not None else sequential
-    if seq_policy is not None:
+    if policy.sequential is not None:
         # Only recorded when on: fixed-N checkpoint metadata keeps its
         # historical shape, and a resume across fixed-N/sequential
         # modes (or differing look schedules) is rejected by the
         # compatibility check.
-        meta["sequential"] = seq_policy.to_meta()
-    supervised_chosen = [
-        name for name in chosen if name in ("fig5", "fig7", "fig8", "table3")
-    ]
-    executor: Optional[ResilientExecutor] = None
-    processed: List[SupervisedCell] = []
-    if supervised_chosen:
+        meta["sequential"] = policy.sequential.to_meta()
+    plan = artifact_plan(chosen, n_runs=n_runs, seed=seed)
+    cells: Dict[str, SupervisedCell] = {}
+    if plan:
         store = CheckpointStore.open(
-            checkpoint_dir or os.path.join(out_dir, "checkpoint"),
-            meta, resume=resume,
+            os.path.join(out_dir, "checkpoint"), meta, resume=resume,
         )
-        injector = (
-            FaultInjector(fault_profile(fault_profile_name), seed=seed)
-            if fault_profile_name else None
-        )
-        effective_policy = policy or ExecutionPolicy(
-            retry=RetryPolicy(max_retries=max_retries),
-            adaptive=AdaptivePolicy(),
-            sequential=sequential,
-            strict_preflight=strict_preflight,
-            backend=backend,
-        )
-        executor = ResilientExecutor(
-            effective_policy,
-            injector=injector,
-            store=store,
-        )
-        from repro.harness.parallel import (
-            DEFAULT_CELL_TIMEOUT_S,
-            default_workers,
-            run_cells,
-            sweep_specs,
-        )
-
-        effective_workers = (
-            workers if workers is not None else default_workers()
-        )
-        if effective_workers < 1:
-            raise HarnessError(
-                f"workers must be >= 1, got {effective_workers}"
-            )
-        if effective_workers > 1:
-            # Parallel prefill: shard the supervised cells across a
-            # process pool, journaling through the store (single
-            # writer).  The assembly code below then finds every cell
-            # cached and reuses it byte-for-byte.
-            run_cells(
-                sweep_specs(
-                    supervised_chosen, n_runs=n_runs, seed=seed,
-                ),
-                store,
-                effective_policy,
-                workers=effective_workers,
-                fault_profile_name=fault_profile_name,
-                fault_seed=seed,
-                cell_timeout_s=(
-                    cell_timeout_s if cell_timeout_s is not None
-                    else DEFAULT_CELL_TIMEOUT_S
-                ),
-            )
+        cells = run_cells(
+            [spec for rows in plan.values() for _, spec in rows],
+            store,
+            policy,
+            workers=workers if workers is not None else default_workers(),
+            fault_profile_name=fault_profile_name,
+            fault_seed=seed,
+            cell_timeout_s=(
+                cell_timeout_s if cell_timeout_s is not None
+                else DEFAULT_CELL_TIMEOUT_S
+            ),
+        ).cells
 
     if "table1" in chosen:
         path = os.path.join(out_dir, "table1.txt")
@@ -316,43 +255,27 @@ def run_all(
             }},
         )
         written["table2"] = path
-    if "fig5" in chosen:
-        panels = figure_panels_supervised(
-            executor, TrainTestAttack(), "fig5", n_runs=n_runs, seed=seed,
-        )
-        processed.extend(cell for _, cell in panels)
-        path = os.path.join(out_dir, "fig5.txt")
+    for figure, (heading, mapped, unmapped) in _FIGURE_RENDERINGS.items():
+        if figure not in plan:
+            continue
+        panels = [(title, cells[spec.cell_id]) for title, spec in plan[figure]]
+        path = os.path.join(out_dir, f"{figure}.txt")
         save_text(path, figure_report(
-            "Figure 5: Train + Test attacks", plain_panels(panels),
-            mapped_label="mapped index", unmapped_label="unmapped index",
+            heading,
+            [(title, cell.result) for title, cell in panels
+             if cell.result is not None],
+            mapped_label=mapped, unmapped_label=unmapped,
         ))
         save_json(
-            os.path.join(out_dir, "fig5.json"),
+            os.path.join(out_dir, f"{figure}.json"),
             {**meta, "panels": {
                 title: cell_record(cell) for title, cell in panels
             }},
         )
-        written["fig5"] = path
-    if "fig8" in chosen:
-        panels = figure_panels_supervised(
-            executor, TestHitAttack(), "fig8", n_runs=n_runs, seed=seed,
-        )
-        processed.extend(cell for _, cell in panels)
-        path = os.path.join(out_dir, "fig8.txt")
-        save_text(path, figure_report(
-            "Figure 8: Test + Hit attacks", plain_panels(panels),
-            mapped_label="mapped data", unmapped_label="unmapped data",
-        ))
-        save_json(
-            os.path.join(out_dir, "fig8.json"),
-            {**meta, "panels": {
-                title: cell_record(cell) for title, cell in panels
-            }},
-        )
-        written["fig8"] = path
-    if "fig7" in chosen:
-        cell = figure7_supervised(executor)
-        processed.append(cell)
+        written[figure] = path
+    if "fig7" in plan:
+        [(_, spec)] = plan["fig7"]
+        cell = cells[spec.cell_id]
         path = os.path.join(out_dir, "fig7.txt")
         if cell.result is not None:
             save_text(path, figure7_report(cell.result))
@@ -367,28 +290,25 @@ def run_all(
                 {**meta, "execution": cell.execution_record()},
             )
         written["fig7"] = path
-    if "table3" in chosen:
-        supervised = table3_supervised(
-            executor, n_runs=n_runs, seed=seed,
-        )
-        processed.extend(
-            cell for cells in supervised.values()
-            for cell in cells.values() if cell is not None
-        )
+    if "table3" in plan:
+        rows = plan["table3"]
         path = os.path.join(out_dir, "table3.txt")
-        save_text(path, table3_report(plain_results(supervised)))
+        save_text(path, table3_report(
+            table3_grid(rows, lambda spec: cells[spec.cell_id].result)
+        ))
+        records = table3_grid(
+            rows, lambda spec: cell_record(cells[spec.cell_id])
+        )
         save_json(
             os.path.join(out_dir, "table3.json"),
             {**meta, "cells": {
-                category.value: {
-                    key: cell_record(cell) for key, cell in cells.items()
-                }
-                for category, cells in supervised.items()
+                category.value: slots for category, slots in records.items()
             }},
         )
         written["table3"] = path
 
-    if supervised_chosen:
+    if plan:
+        processed = list(cells.values())
         summary: Dict[str, int] = {}
         for cell in processed:
             label = cell.classification.value

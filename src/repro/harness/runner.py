@@ -41,7 +41,6 @@ result with weakened guarantees) or ``failed`` (no result).
 
 from __future__ import annotations
 
-import re
 import time
 import zlib
 from dataclasses import dataclass, field, replace as dc_replace
@@ -54,8 +53,7 @@ from repro.core.attack import (
     make_predictor,
 )
 from repro.core.channels import ChannelType
-from repro.core.model import AttackCategory
-from repro.core.variants import ALL_VARIANTS, AttackVariant
+from repro.core.variants import AttackVariant
 from repro.crypto.leak import RsaAttackConfig, RsaVpAttack
 from repro.crypto.mpi import Mpi
 from repro.errors import (
@@ -297,11 +295,10 @@ class ExecutionPolicy:
 
     @classmethod
     def compat(cls) -> "ExecutionPolicy":
-        """Behaviour-preserving policy: retries only on error.
+        """The default policy, ``cls()``, under an older name.
 
-        Used by the plain :mod:`repro.harness.experiment` drivers so
-        their results stay identical to the pre-supervision harness
-        unless something actually goes wrong.
+        Kept only because ``perfbench/oracle.py`` still calls it; new
+        code writes ``ExecutionPolicy()``.
         """
         return cls()
 
@@ -559,7 +556,7 @@ class ResilientExecutor:
         store: Optional[CheckpointStore] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.policy = policy or ExecutionPolicy.compat()
+        self.policy = policy or ExecutionPolicy()
         self.injector = injector
         self.store = store
         self._sleep = sleep
@@ -1024,115 +1021,3 @@ def _apply_sample_faults(
     return dc_replace(
         result, comparison=DistributionComparison.compare(mapped, unmapped)
     )
-
-
-# ----------------------------------------------------------------------
-# Resilient sweep drivers (supervised analogues of experiment.py)
-# ----------------------------------------------------------------------
-
-def _slug(text: str) -> str:
-    collapsed = re.sub(
-        r"-+", "-",
-        "".join(ch if ch.isalnum() else "-" for ch in text.lower()),
-    )
-    return collapsed.strip("-")
-
-
-#: The four Figure 5/8 panel specifications, in paper order.
-_PANEL_SPECS: Tuple[Tuple[str, ChannelType, str], ...] = (
-    ("(1) Timing-Window Channel (no VP)", ChannelType.TIMING_WINDOW, "none"),
-    ("(2) Timing-Window Channel (LVP)", ChannelType.TIMING_WINDOW, "lvp"),
-    ("(3) Persistent Channel (no VP)", ChannelType.PERSISTENT, "none"),
-    ("(4) Persistent Channel (LVP)", ChannelType.PERSISTENT, "lvp"),
-)
-
-
-def figure_panels_supervised(
-    executor: ResilientExecutor,
-    variant: AttackVariant,
-    figure: str,
-    n_runs: int = 100,
-    seed: int = 0,
-) -> List[Tuple[str, SupervisedCell]]:
-    """Supervised Figure 5/8 panels for ``variant``."""
-    panels: List[Tuple[str, SupervisedCell]] = []
-    for title, channel, predictor in _PANEL_SPECS:
-        cell_id = f"{figure}/{channel.value}-{predictor}"
-        panels.append((
-            title,
-            executor.run_cell_supervised(
-                cell_id, variant, channel, predictor, n_runs, seed,
-            ),
-        ))
-    return panels
-
-
-def table3_supervised(
-    executor: ResilientExecutor,
-    n_runs: int = 100,
-    seed: int = 0,
-    predictor: str = "lvp",
-) -> Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]]:
-    """Supervised Table III sweep; resumes over the executor's store."""
-    results: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]] = {}
-    for variant in ALL_VARIANTS:
-        slug = _slug(variant.category.value)
-        cells: Dict[str, Optional[SupervisedCell]] = {
-            "tw_novp": None, "tw_vp": None, "pc_novp": None, "pc_vp": None,
-        }
-        specs = [
-            ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
-            ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
-        ]
-        if ChannelType.PERSISTENT in variant.supported_channels:
-            specs += [
-                ("pc_novp", ChannelType.PERSISTENT, "none"),
-                ("pc_vp", ChannelType.PERSISTENT, predictor),
-            ]
-        for key, channel, cell_predictor in specs:
-            cells[key] = executor.run_cell_supervised(
-                f"table3/{slug}/{key}", variant, channel, cell_predictor,
-                n_runs, seed,
-            )
-        results[variant.category] = cells
-    return results
-
-
-def figure7_supervised(
-    executor: ResilientExecutor,
-    seed: int = 7,
-    exponent: Optional[int] = None,
-) -> SupervisedCell:
-    """Supervised Figure 7 RSA exponent leak."""
-    from repro.harness.experiment import FIGURE7_EXPONENT, RSA_DRAM
-
-    return executor.run_rsa_supervised(
-        "fig7/rsa",
-        exponent if exponent is not None else FIGURE7_EXPONENT,
-        seed=seed,
-        memory_config=MemoryConfig(dram=RSA_DRAM),
-    )
-
-
-def plain_results(
-    supervised: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]],
-) -> Dict[AttackCategory, Dict[str, Optional[ExperimentResult]]]:
-    """Strip supervision metadata: the classic table3_results shape."""
-    return {
-        category: {
-            key: (cell.result if cell is not None else None)
-            for key, cell in cells.items()
-        }
-        for category, cells in supervised.items()
-    }
-
-
-def plain_panels(
-    panels: List[Tuple[str, SupervisedCell]],
-) -> List[Tuple[str, ExperimentResult]]:
-    """Strip supervision metadata from figure panels, dropping failures."""
-    return [
-        (title, cell.result)
-        for title, cell in panels
-        if cell.result is not None
-    ]

@@ -47,14 +47,9 @@ from repro._version import __version__
 from repro.errors import HarnessError, ReproError
 from repro.harness.checkpoint import CheckpointStore, atomic_write_json
 from repro.harness.faults import FaultProfile
-from repro.harness.parallel import execute_spec
-from repro.harness.runner import (
-    CellClassification,
-    ExecutionPolicy,
-    ResilientExecutor,
-    SupervisedCell,
-)
-from repro.perf.counters import COUNTERS, PerfCounters
+from repro.harness.parallel import init_worker, run_task
+from repro.harness.runner import SupervisedCell
+from repro.perf.counters import COUNTERS
 from repro.perf.observe import now
 from repro.serve.cache import ResultCache
 from repro.serve.jobqueue import JobQueue, QueueFullError
@@ -62,6 +57,7 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
+    execution_policy,
     http_response,
     job_key,
     normalize_policy,
@@ -74,12 +70,7 @@ from repro.serve.supervisor import (
     TaskOutcome,
     WorkerSupervisor,
 )
-from repro.sim import (
-    clear_fallback_journal,
-    fallback_histogram,
-    fallback_journal,
-    record_fallbacks,
-)
+from repro.sim import fallback_histogram, record_fallbacks
 
 #: Name of the endpoints discovery file under the daemon root.
 ENDPOINTS_FILE = "serve.json"
@@ -116,68 +107,6 @@ class ServePolicy:
             restart_budget=self.restart_budget,
             drain_timeout_s=self.drain_timeout_s,
         )
-
-
-# ----------------------------------------------------------------------
-# Worker side (module-level, picklable)
-# ----------------------------------------------------------------------
-
-_SERVE_EXECUTORS: Dict[str, ResilientExecutor] = {}
-_SERVE_FAULTS: Any = None
-
-
-def _init_serve_worker(
-    fault_profile_obj: Optional[FaultProfile], fault_seed: int
-) -> None:
-    """Per-worker init: lazy executor registry, one per policy name."""
-    global _SERVE_EXECUTORS, _SERVE_FAULTS
-    _SERVE_EXECUTORS = {}
-    _SERVE_FAULTS = (fault_profile_obj, fault_seed)
-    COUNTERS.reset()
-    clear_fallback_journal()
-
-
-def _serve_executor(policy_name: str) -> ResilientExecutor:
-    executor = _SERVE_EXECUTORS.get(policy_name)
-    if executor is None:
-        from repro.harness.faults import FaultInjector
-
-        profile, seed = _SERVE_FAULTS
-        policy = (
-            ExecutionPolicy.robust() if policy_name == "robust"
-            else ExecutionPolicy.compat()
-        )
-        executor = ResilientExecutor(
-            policy,
-            injector=(
-                FaultInjector(profile, seed=seed)
-                if profile is not None else None
-            ),
-            store=None,
-        )
-        _SERVE_EXECUTORS[policy_name] = executor
-    return executor
-
-
-def _run_serve_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one job in a worker; return payload + telemetry."""
-    spec = spec_to_cell(payload["spec"], payload["key"])
-    executor = _serve_executor(str(payload["policy"]))
-    before = COUNTERS.snapshot()
-    fallback_mark = len(fallback_journal())
-    started = now()
-    cell = execute_spec(spec, executor)
-    busy_s = now() - started
-    failed = cell.classification is CellClassification.FAILED
-    return {
-        "cell_id": spec.cell_id,
-        "failed": failed,
-        "payload": None if failed else cell.to_payload(),
-        "note": cell.note,
-        "counters": PerfCounters.delta(before, COUNTERS.snapshot()),
-        "fallbacks": fallback_journal()[fallback_mark:],
-        "busy_s": busy_s,
-    }
 
 
 def verdict_summary(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -230,8 +159,8 @@ class ReproDaemon:
         self.cache = ResultCache(self.store, ttl_s=self.policy.cache_ttl_s)
         self.supervisor = WorkerSupervisor(
             self.policy.supervisor_policy(),
-            run_fn=_run_serve_job,
-            init_fn=_init_serve_worker,
+            run_fn=run_task,
+            init_fn=init_worker,
             init_args=(fault_profile_obj, fault_seed),
             fault_profile=fault_profile_obj,
             fault_seed=fault_seed,
@@ -367,14 +296,11 @@ class ReproDaemon:
                 )
                 self._resolve(job_id)
                 continue
-            task_payload = {
-                "spec": job["spec"],
-                "policy": job["policy"],
-                "key": job_id,
-            }
-            self.supervisor.submit(
-                cell_id, task_payload, self._outcome_threadsafe
+            task = (
+                spec_to_cell(job["spec"], job_id),
+                execution_policy(job["policy"]),
             )
+            self.supervisor.submit(cell_id, task, self._outcome_threadsafe)
 
     def _outcome_threadsafe(self, outcome: TaskOutcome) -> None:
         if self._loop is not None:
@@ -388,12 +314,7 @@ class ReproDaemon:
         if outcome.status == "done":
             result = outcome.value
             COUNTERS.add(result["counters"])
-            shipped = [
-                (str(cell_name), str(reason))
-                for cell_name, reason in result.get("fallbacks") or []
-            ]
-            if shipped:
-                record_fallbacks(shipped)
+            record_fallbacks(result["fallbacks"])
             self._busy_samples.append(float(result["busy_s"]))
             if result["failed"]:
                 self.queue.mark(

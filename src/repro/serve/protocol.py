@@ -27,6 +27,7 @@ from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS
 from repro.errors import HarnessError
 from repro.harness.parallel import CellSpec
+from repro.harness.runner import ExecutionPolicy
 
 #: Spec fields a client may submit, with defaults matching
 #: :class:`repro.harness.parallel.CellSpec`.
@@ -95,6 +96,11 @@ def normalize_policy(raw: Optional[str]) -> str:
             f"unknown policy {policy!r}; choose from {POLICY_NAMES}"
         )
     return policy
+
+
+def execution_policy(name: str) -> ExecutionPolicy:
+    """The :class:`ExecutionPolicy` a validated policy name stands for."""
+    return ExecutionPolicy.robust() if name == "robust" else ExecutionPolicy()
 
 
 def job_key(spec: Dict[str, Any], policy: str) -> str:

@@ -18,15 +18,13 @@ from repro.harness.checkpoint import (
     serialize_result,
 )
 from repro.harness.experiment import run_cell
-from repro.harness.faults import FaultInjector, FaultProfile
+from repro.harness.faults import FaultProfile
 from repro.harness.persistence import run_all
+from repro.harness.parallel import run_cells, sweep_specs
 from repro.harness.runner import (
     AdaptivePolicy,
     ExecutionPolicy,
-    ResilientExecutor,
     RetryPolicy,
-    figure_panels_supervised,
-    table3_supervised,
 )
 
 
@@ -149,11 +147,8 @@ class TestResumeFromPartialCheckpoint:
     def test_missing_cells_recomputed_journaled_cells_reused(self, tmp_path):
         meta = {"version": "1", "n_runs": 2, "seed": 0}
         run_dir = str(tmp_path / "run")
-        store = CheckpointStore.open(run_dir, meta)
-        executor = ResilientExecutor(store=store)
-        original = figure_panels_supervised(
-            executor, TrainTestAttack(), "fig5", n_runs=2, seed=0
-        )
+        specs = sweep_specs(["fig5"], n_runs=2, seed=0)
+        original = run_cells(specs, CheckpointStore.open(run_dir, meta)).cells
         cells_dir = os.path.join(run_dir, "cells")
         journaled = {
             name: open(os.path.join(cells_dir, name)).read()
@@ -165,11 +160,11 @@ class TestResumeFromPartialCheckpoint:
         lost = "fig5-persistent-lvp.json"
         os.unlink(os.path.join(cells_dir, lost))
 
-        resumed_store = CheckpointStore.open(run_dir, meta, resume=True)
-        resumed = figure_panels_supervised(
-            ResilientExecutor(store=resumed_store),
-            TrainTestAttack(), "fig5", n_runs=2, seed=0,
+        stats = run_cells(
+            specs, CheckpointStore.open(run_dir, meta, resume=True)
         )
+        assert (stats.cells_cached, stats.cells_run) == (3, 1)
+        resumed = stats.cells
         after = {
             name: open(os.path.join(cells_dir, name)).read()
             for name in sorted(os.listdir(cells_dir))
@@ -177,8 +172,8 @@ class TestResumeFromPartialCheckpoint:
         # Reused cells byte-identical; the lost cell was recomputed to
         # the identical payload (deterministic seeds).
         assert after == journaled
-        for (title_a, cell_a), (title_b, cell_b) in zip(original, resumed):
-            assert title_a == title_b
+        for spec in specs:
+            cell_a, cell_b = original[spec.cell_id], resumed[spec.cell_id]
             assert cell_a.result.pvalue == cell_b.result.pvalue
             assert cell_a.result.comparison.mapped.samples == \
                 cell_b.result.comparison.mapped.samples
@@ -205,23 +200,21 @@ class TestCrashResumeAcceptance:
         store = CheckpointStore.open(
             str(out_dir / "checkpoint"), meta
         )
-        crashing = ResilientExecutor(
-            ExecutionPolicy(
-                retry=RetryPolicy(max_retries=0),
-                adaptive=AdaptivePolicy(),
-                fail_fast=True,
-            ),
-            injector=FaultInjector(
-                FaultProfile(
+        with pytest.raises(InjectedCrashError):
+            run_cells(
+                sweep_specs(["table3"], n_runs=n_runs, seed=seed),
+                store,
+                ExecutionPolicy(
+                    retry=RetryPolicy(max_retries=0),
+                    adaptive=AdaptivePolicy(),
+                    fail_fast=True,
+                ),
+                fault_profile_obj=FaultProfile(
                     name="crash-once",
                     crash_cells=("table3/test-hit/tw_vp",),
                 ),
-                seed=seed,
-            ),
-            store=store,
-        )
-        with pytest.raises(InjectedCrashError):
-            table3_supervised(crashing, n_runs=n_runs, seed=seed)
+                fault_seed=seed,
+            )
         completed = store.completed_cells()
         assert 0 < len(completed) < 20  # genuinely interrupted mid-sweep
 

@@ -149,9 +149,9 @@ class TestResumeAfterDamage:
             }
 
         reference = _store(tmp_path, "reference")
-        run_cells(specs, reference, ExecutionPolicy.compat())
+        run_cells(specs, reference, ExecutionPolicy())
         victim = _store(tmp_path, "victim")
-        run_cells(specs, victim, ExecutionPolicy.compat())
+        run_cells(specs, victim, ExecutionPolicy())
         assert journal_bytes(reference) == journal_bytes(victim)
 
         # Flip one payload bit in one record of the victim journal.
@@ -167,7 +167,7 @@ class TestResumeAfterDamage:
             handle.write(bytes(data))
 
         # Resume: exactly one cell recomputes, journal heals.
-        stats = run_cells(specs, victim, ExecutionPolicy.compat())
+        stats = run_cells(specs, victim, ExecutionPolicy())
         assert stats.cells_run == 1
         assert stats.cells_cached == len(specs) - 1
         healed = {

@@ -41,7 +41,7 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    stats = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    stats = run_cells(specs, store, ExecutionPolicy(), **kwargs)
     return stats, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
@@ -78,7 +78,7 @@ class TestProcessFaultsAreInvisible:
         )
         with pytest.raises(HarnessError, match="lost"):
             run_cells(
-                specs, store, ExecutionPolicy.compat(), workers=2,
+                specs, store, ExecutionPolicy(), workers=2,
                 fault_profile_obj=profile, max_dispatches=1,
             )
 
@@ -103,7 +103,7 @@ class TestSigintMidSweep:
 
         with pytest.raises(KeyboardInterrupt):
             run_cells(
-                specs, store, ExecutionPolicy.compat(), workers=2,
+                specs, store, ExecutionPolicy(), workers=2,
                 progress=interrupt_once,
             )
         flushed = [
@@ -122,7 +122,7 @@ class TestSigintMidSweep:
             resume=True,
         )
         stats = run_cells(
-            specs, resumed, ExecutionPolicy.compat(), workers=2
+            specs, resumed, ExecutionPolicy(), workers=2
         )
         assert stats.cells_cached == len(flushed)
         final = {
@@ -136,5 +136,5 @@ class TestSigintMidSweep:
         store = CheckpointStore.open(
             str(tmp_path / "checkpoint"), dict(META), resume=False
         )
-        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert signal.getsignal(signal.SIGINT) is before

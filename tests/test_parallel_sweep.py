@@ -1,4 +1,4 @@
-"""Determinism of the process-pool sweep engine.
+"""Determinism of the supervised sweep engine.
 
 The contract under test: journal payloads and artifact records are
 byte-identical for any worker count — including the serial fallback,
@@ -46,7 +46,7 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    stats = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    stats = run_cells(specs, store, ExecutionPolicy(), **kwargs)
     return stats, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
@@ -110,8 +110,8 @@ class TestWorkerCountInvariance:
         store = CheckpointStore.open(
             str(tmp_path / "checkpoint"), dict(META), resume=False
         )
-        first = run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
-        second = run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        first = run_cells(specs, store, ExecutionPolicy(), workers=2)
+        second = run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert first.cells_run == len(specs)
         assert second.cells_cached == len(specs)
         assert second.cells_run == 0
@@ -158,10 +158,10 @@ class TestRunAllParallel:
     def test_crash_resume_under_chaos_matches_serial(self, tmp_path):
         """Mid-sweep crash + --resume with workers under fault chaos.
 
-        A partial parallel prefill stands in for the crash: the journal
-        holds some cells, the process died, and the resumed parallel
-        run must complete the sweep byte-identically to an uninterrupted
-        serial run under the same fault profile.
+        A partial parallel ``run_cells`` stands in for the crash: the
+        journal holds some cells, the process died, and the resumed
+        parallel run must complete the sweep byte-identically to an
+        uninterrupted serial run under the same fault profile.
         """
         kwargs = dict(n_runs=4, seed=0, artifacts=["fig5"],
                       fault_profile_name="chaos")
@@ -180,7 +180,7 @@ class TestRunAllParallel:
             {"version": __version__, "n_runs": 4, "seed": 0},
             resume=False,
         )
-        # Same policy run_all supervises with, so the prefilled half
+        # Same policy run_all supervises with, so the journaled half
         # retries/escalates exactly as the uninterrupted run would.
         policy = ExecutionPolicy(
             retry=RetryPolicy(max_retries=2), adaptive=AdaptivePolicy()
@@ -192,6 +192,57 @@ class TestRunAllParallel:
         run_all(str(resumed_dir), resume=True, workers=2, **kwargs)
         assert (self._artifact_digests(serial_dir)
                 == self._artifact_digests(resumed_dir))
+
+    def test_failed_cells_match_across_workers_and_rerun_on_resume(
+        self, tmp_path
+    ):
+        """Failed cells ship back from workers but are never journaled.
+
+        Under the ``crash`` profile with no retries some cells fail for
+        good.  Every worker count must render them identically and
+        journal exactly the plan's other cells; a resumed run (here
+        without faults) re-attempts the failed ones.
+        """
+        kwargs = dict(
+            n_runs=4, seed=0, artifacts=["fig5", "fig7", "table3"],
+            policy=ExecutionPolicy(retry=RetryPolicy(max_retries=0)),
+        )
+        plan_ids = {
+            spec.cell_id
+            for spec in sweep_specs(kwargs["artifacts"], n_runs=4, seed=0)
+        }
+
+        def journal(out_dir):
+            return {
+                path.name: path.read_bytes()
+                for path in (out_dir / "checkpoint" / "cells").glob("*.json")
+            }
+
+        digests = {}
+        for workers in (1, 2):
+            out_dir = tmp_path / f"workers{workers}"
+            out_dir.mkdir()
+            run_all(str(out_dir), workers=workers,
+                    fault_profile_name="crash", **kwargs)
+            digests[workers] = self._artifact_digests(out_dir)
+            summary = json.loads((out_dir / "run_summary.json").read_text())
+            assert summary["cells"] == len(plan_ids) == 23
+            assert summary["classifications"] == {"clean": 16, "failed": 7}
+            journaled = {
+                json.loads(record)["cell_id"]
+                for record in journal(out_dir).values()
+            }
+            assert len(journaled) == 16 and journaled < plan_ids
+        assert digests[1] == digests[2]
+
+        out_dir = tmp_path / "workers2"
+        before = journal(out_dir)
+        run_all(str(out_dir), workers=2, resume=True, **kwargs)
+        summary = json.loads((out_dir / "run_summary.json").read_text())
+        assert summary["classifications"] == {"clean": 23}
+        after = journal(out_dir)
+        assert len(after) == 23
+        assert all(after[name] == record for name, record in before.items())
 
 
 class TestDefaultWorkers:

@@ -305,10 +305,7 @@ def test_sequential_sweep_payloads_identical(tmp_path):
     specs = sweep_specs(["table3"], n_runs=16, seed=0)
 
     def policy(**kwargs):
-        return dataclasses.replace(
-            ExecutionPolicy.compat(), sequential=SequentialPolicy(),
-            **kwargs,
-        )
+        return ExecutionPolicy(sequential=SequentialPolicy(), **kwargs)
 
     batched = _sweep(tmp_path, specs, policy(backend="batched"), "batched")
     before = COUNTERS.snapshot()
@@ -334,9 +331,7 @@ def test_midsweep_crash_and_resume(tmp_path):
     from repro.harness.runner import ExecutionPolicy, SequentialPolicy
 
     specs = sweep_specs(["table3"], n_runs=12, seed=0)
-    policy = dataclasses.replace(
-        ExecutionPolicy.compat(), sequential=SequentialPolicy(),
-    )
+    policy = ExecutionPolicy(sequential=SequentialPolicy())
     batched = _sweep(
         tmp_path, specs,
         dataclasses.replace(policy, backend="batched"), "batched",

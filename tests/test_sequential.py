@@ -486,9 +486,7 @@ class TestSupervisedSequential:
 class TestSequentialParallelDeterminism:
     def test_workers_match_serial_byte_for_byte(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=8, seed=1)
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), sequential=SequentialPolicy()
-        )
+        policy = ExecutionPolicy(sequential=SequentialPolicy())
         meta = {"version": "test", "n_runs": 8, "seed": 1}
 
         def one_pass(name, workers):
@@ -503,11 +501,17 @@ class TestSequentialParallelDeterminism:
         assert one_pass("serial", 1) == one_pass("parallel", 2)
 
 
+#: What ``repro all --sequential`` runs under.
+SEQUENTIAL_ROBUST = dataclasses.replace(
+    ExecutionPolicy.robust(), sequential=SequentialPolicy()
+)
+
+
 class TestRunAllSequential:
     def test_sequential_artifacts_and_summary(self, tmp_path):
         run_all(
             str(tmp_path), n_runs=8, seed=1, artifacts=["fig5"],
-            sequential=SequentialPolicy(),
+            policy=SEQUENTIAL_ROBUST,
         )
         fig5 = json.load(open(str(tmp_path / "fig5.json")))
         records = list(fig5["panels"].values())
@@ -535,7 +539,7 @@ class TestRunAllSequential:
         with pytest.raises(HarnessError, match="resume"):
             run_all(
                 str(tmp_path), n_runs=4, seed=1, artifacts=["fig5"],
-                resume=True, sequential=SequentialPolicy(),
+                resume=True, policy=SEQUENTIAL_ROBUST,
             )
 
     def test_sequential_resume_byte_identity(self, tmp_path):
@@ -546,8 +550,7 @@ class TestRunAllSequential:
         full.mkdir()
         killed.mkdir()
         kwargs = dict(
-            n_runs=8, seed=1, artifacts=["fig5"],
-            sequential=SequentialPolicy(),
+            n_runs=8, seed=1, artifacts=["fig5"], policy=SEQUENTIAL_ROBUST,
         )
         run_all(str(full), **kwargs)
         run_all(str(killed), **kwargs)

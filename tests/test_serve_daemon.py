@@ -64,7 +64,7 @@ def _serial_baseline(spec):
     """The clean serial payload the daemon must match byte-for-byte."""
     normalized = normalize_spec(dict(spec))
     key = job_key(normalized, "compat")
-    executor = ResilientExecutor(ExecutionPolicy.compat())
+    executor = ResilientExecutor(ExecutionPolicy())
     cell = execute_spec(spec_to_cell(normalized, key), executor)
     return key, cell.to_payload()
 

@@ -223,8 +223,6 @@ def test_trial_streams_identical_other_predictors(predictor, channel):
 
 def test_table3_sweep_verdicts_identical(tmp_path):
     """Acceptance: the full 18-cell Table III sweep, both backends."""
-    import dataclasses
-
     from repro._version import __version__
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
@@ -238,9 +236,7 @@ def test_table3_sweep_verdicts_identical(tmp_path):
             str(tmp_path / backend),
             {"version": __version__, "backend_test": True}, resume=False,
         )
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), backend=backend
-        )
+        policy = ExecutionPolicy(backend=backend)
         run_cells(specs, store, policy, workers=1)
         return {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 

@@ -1,5 +1,7 @@
 """--strict-preflight: static/dynamic disagreement is a hard error."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.channels import ChannelType
@@ -60,6 +62,8 @@ def test_run_all_threads_strict_preflight(tmp_path):
 
     written = run_all(
         str(tmp_path), n_runs=10, artifacts=["table1"],
-        strict_preflight=True,
+        policy=dataclasses.replace(
+            ExecutionPolicy.robust(), strict_preflight=True
+        ),
     )
     assert "table1" in written

@@ -401,13 +401,15 @@ class IncrementalExperiment:
     defense RNG streams advance once per predictor build, so any other
     interleaving would sample a different (valid but non-reproducible)
     path.  Advancing to ``n`` therefore leaves the experiment in
-    exactly the state a cold fixed-``n`` run ends in, byte for byte;
-    the group-sequential harness exploits this to stop early, and the
-    adaptive-escalation path to *extend* a sample instead of
-    re-simulating it from scratch.
+    exactly the state a cold fixed-``n`` run ends in, byte for byte.
+    Every supervised cell streams through one of these
+    (:func:`repro.harness.runner.run_sequential_cell`): a
+    group-sequential cell stops at an early look, and an inconclusive
+    cell of either mode *extends* its sample instead of re-simulating
+    it from scratch.
 
     ``advance`` may exceed the runner's configured ``n_runs`` — the
-    cap is a property of the sequential design, not of the trial seed
+    cap is a property of the cell's looks, not of the trial seed
     schedule, which is defined for every index.
     """
 

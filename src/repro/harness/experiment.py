@@ -48,9 +48,9 @@ def cell_runner(
 ) -> AttackRunner:
     """The configured :class:`AttackRunner` behind one experiment cell.
 
-    Shared by :func:`run_cell` (fixed-N) and the group-sequential
-    harness path, which streams the same runner incrementally instead
-    of running it to the fixed cap.
+    Shared by :func:`run_cell` (fixed-N) and the supervised harness,
+    which streams the same runner incrementally through the cell's
+    looks and escalations instead of running it to the fixed cap.
     """
     config = AttackConfig(
         n_runs=n_runs,

@@ -6,29 +6,28 @@ all twelve attack variants across channels and predictors with
 mid-sweep must not lose the run.  :class:`ResilientExecutor` wraps
 every experiment cell with:
 
-* **retry with reseeding and exponential backoff** — any
+* **retry with reseeding** — any
   :class:`~repro.errors.ReproError` raised by a cell (including
   injected crashes and watchdog aborts) is retried up to
   ``max_retries`` times, each attempt under a deterministically
   derived fresh seed;
 * a **cycle-budget watchdog** — a per-trial bound threaded into the
   core's ``max_cycles`` (runaway simulations abort with
-  :class:`~repro.errors.SimulationError`) plus a per-cell budget over
-  all attempts, exhausted budgets raising
-  :class:`~repro.errors.BudgetExceededError`;
-* **adaptive re-measurement** — when a t-test lands in an
-  inconclusive band around ``ALPHA``, the cell re-runs with an
-  escalated ``n_runs`` instead of reporting a flaky verdict (under a
-  :class:`SequentialPolicy` the escalation *extends* the streamed
-  sample in place — all prior trials are kept and more are drawn from
-  the same per-trial seed schedule — instead of re-simulating from
-  scratch);
-* **group-sequential early stopping** — opt-in via
-  :class:`SequentialPolicy`: each cell streams its trials through
-  :meth:`repro.core.attack.AttackRunner.run_incremental` and is
-  examined at pre-registered interim looks against an alpha-spending
-  boundary (:mod:`repro.stats.sequential`), stopping as soon as the
-  verdict is decisive instead of burning the full fixed-N budget;
+  :class:`~repro.errors.SimulationError`) plus a per-cell budget that
+  stops adaptive escalation once the cell has simulated that many
+  cycles;
+* **one streaming attempt per cell** — every experiment cell streams
+  its trials through :func:`run_sequential_cell`.  A fixed-N cell is
+  the one-look design ``(n_runs,)``; under :class:`SequentialPolicy`
+  the cell is examined at pre-registered interim looks against an
+  alpha-spending boundary (:mod:`repro.stats.sequential`) and stops
+  as soon as the verdict is decisive;
+* **adaptive re-measurement** — when the last look lands in an
+  inconclusive band around ``ALPHA``, the cell *extends* the same
+  stream to ``n_runs * escalation_factor`` trials instead of reporting
+  a flaky verdict: all prior trials are kept and more are drawn from
+  the same per-trial seed schedule, so the extended sample is
+  byte-identical to a cold run at the larger ``n_runs``;
 * **checkpoint/resume** — completed cells are journaled atomically to
   a :class:`~repro.harness.checkpoint.CheckpointStore`, and re-running
   a sweep over the same store reuses every journaled cell verbatim.
@@ -41,7 +40,6 @@ result with weakened guarantees) or ``failed`` (no result).
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
@@ -120,28 +118,13 @@ class RetryPolicy:
 
     Attributes:
         max_retries: Retries after the first attempt (0 = fail fast).
-        backoff_base: Seconds slept before the first retry; 0 disables
-            sleeping (the schedule is still recorded).
-        backoff_factor: Multiplier between consecutive retries.
     """
 
     max_retries: int = 2
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise HarnessError("max_retries must be >= 0")
-        if self.backoff_base < 0.0:
-            raise HarnessError("backoff_base must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise HarnessError("backoff_factor must be >= 1")
-
-    def backoff_before(self, attempt: int) -> float:
-        """Seconds to wait before ``attempt`` (attempt 0 never waits)."""
-        if attempt == 0 or self.backoff_base == 0.0:
-            return 0.0
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -150,9 +133,9 @@ class AdaptivePolicy:
 
     A p-value inside ``[band_low, band_high)`` is *inconclusive*: too
     close to ``ALPHA`` for the verdict to be trusted at the current
-    sample size.  The executor then escalates ``n_runs`` by
-    ``escalation_factor`` (up to ``max_escalations`` times) instead of
-    reporting a flaky verdict.
+    sample size.  :func:`run_sequential_cell` then extends the cell's
+    sample by ``escalation_factor`` (up to ``max_escalations`` times)
+    instead of reporting a flaky verdict.
     """
 
     band_low: float = ALPHA / 2
@@ -183,30 +166,18 @@ class SequentialPolicy:
     group-sequential design (:class:`repro.stats.sequential.SequentialDesign`):
     trials stream in boundary-aligned batches and the cell stops as
     soon as an interim look crosses the alpha-spending boundary.  The
-    final look applies the paper's plain fixed-N criterion by default,
-    so a cell that never stops early reports exactly the fixed-N
-    verdict.
+    final look applies the paper's plain fixed-N criterion, so a cell
+    that never stops early reports exactly the fixed-N verdict.
 
     Attributes:
-        look_fractions: Interim-look schedule as fractions of
-            ``n_runs`` (used when ``looks`` is unset); the default is
-            the classic 20/40/60/80/100% five-look plan.
-        looks: Explicit cumulative trial counts instead of fractions.
-            Counts at or above a cell's ``n_runs`` are dropped and the
-            cap itself is always appended, so one schedule serves
-            sweeps with mixed per-cell budgets.
-        alpha: Overall significance level.
-        spending: Alpha-spending function name
-            (:data:`repro.stats.sequential.SPENDING_FUNCTIONS`).
-        final_level: Passed through to the design; ``"fixed-n"``
-            (default) keeps the fixed-N answer recoverable.
+        looks: Explicit cumulative trial counts; ``None`` uses the
+            classic 20/40/60/80/100% five-look plan of each cell's
+            ``n_runs``.  Counts at or above a cell's ``n_runs`` are
+            dropped and the cap itself is always appended, so one
+            schedule serves sweeps with mixed per-cell budgets.
     """
 
-    look_fractions: Tuple[float, ...] = DEFAULT_LOOK_FRACTIONS
     looks: Optional[Tuple[int, ...]] = None
-    alpha: float = ALPHA
-    spending: str = "obrien-fleming"
-    final_level: str = "fixed-n"
 
     def __post_init__(self) -> None:
         if self.looks is not None:
@@ -221,30 +192,28 @@ class SequentialPolicy:
                 raise HarnessError(
                     f"looks must be strictly increasing, got {self.looks}"
                 )
-        if not self.look_fractions:
-            raise HarnessError("look_fractions must be non-empty")
 
     def design_for(self, n_runs: int) -> SequentialDesign:
         """The concrete design for a cell with cap ``n_runs``."""
         if self.looks is not None:
             counts = tuple(n for n in self.looks if n < n_runs) + (n_runs,)
         else:
-            counts = default_looks(n_runs, self.look_fractions)
-        return SequentialDesign(
-            looks=counts,
-            alpha=self.alpha,
-            spending=self.spending,
-            final_level=self.final_level,
-        )
+            counts = default_looks(n_runs)
+        return SequentialDesign(looks=counts)
 
     def to_meta(self) -> Dict[str, object]:
-        """JSON-safe settings record (checkpoint-manifest comparable)."""
+        """JSON-safe settings record (checkpoint-manifest comparable).
+
+        The fraction plan, alpha, spending function and final-look rule
+        are constants; they stay in the record so existing checkpoint
+        manifests keep comparing equal.
+        """
         return {
-            "look_fractions": list(self.look_fractions),
+            "look_fractions": list(DEFAULT_LOOK_FRACTIONS),
             "looks": list(self.looks) if self.looks is not None else None,
-            "alpha": self.alpha,
-            "spending": self.spending,
-            "final_level": self.final_level,
+            "alpha": ALPHA,
+            "spending": "obrien-fleming",
+            "final_level": "fixed-n",
         }
 
 
@@ -253,19 +222,18 @@ class ExecutionPolicy:
     """Everything the supervised executor enforces per cell.
 
     Attributes:
-        retry: Retry/backoff behaviour.
-        adaptive: Optional inconclusive-band re-measurement.  Under a
-            sequential policy the escalation keeps all prior trials
-            and extends the stream; otherwise it re-runs the cell at
-            the escalated ``n_runs`` from scratch.
+        retry: Retry behaviour.
+        adaptive: Optional inconclusive-band re-measurement: the cell
+            keeps all prior trials and extends its stream.
         sequential: Optional group-sequential early stopping
-            (:class:`SequentialPolicy`); ``None`` preserves the
-            historical fixed-N behaviour byte for byte.
+            (:class:`SequentialPolicy`); ``None`` runs each cell as the
+            one-look fixed-N design.
         max_trial_cycles: Per-trial watchdog, threaded into the core's
             ``max_cycles`` bound.
-        cell_cycle_budget: Simulated-cycle budget per cell summed over
-            attempts; exceeding it raises
-            :class:`~repro.errors.BudgetExceededError`.
+        cell_cycle_budget: Simulated-cycle budget per cell: no
+            escalation starts once the cell has simulated this many
+            cycles, and a budget of 0 or less fails the cell with
+            :class:`~repro.errors.BudgetExceededError` before it runs.
         fail_fast: Re-raise instead of recording a ``failed`` cell.
         preflight: Statically validate each cell with
             :func:`repro.analysis.preflight.preflight_cell` before its
@@ -318,7 +286,6 @@ class AttemptRecord:
     attempt: int
     seed: int
     n_runs: Optional[int]
-    backoff_s: float = 0.0
     error: Optional[str] = None
     error_type: Optional[str] = None
 
@@ -327,7 +294,8 @@ class AttemptRecord:
             "attempt": self.attempt,
             "seed": self.seed,
             "n_runs": self.n_runs,
-            "backoff_s": self.backoff_s,
+            # Retries never wait; the key stays for the record format.
+            "backoff_s": 0.0,
             "error": self.error,
             "error_type": self.error_type,
         }
@@ -339,37 +307,61 @@ class AttemptRecord:
             seed=int(payload["seed"]),
             n_runs=(None if payload.get("n_runs") is None
                     else int(payload["n_runs"])),
-            backoff_s=float(payload.get("backoff_s", 0.0)),
             error=payload.get("error"),
             error_type=payload.get("error_type"),
         )
 
 
 @dataclass
-class SequentialOutcome:
-    """What one group-sequential attempt at a cell produced.
+class AttemptOutcome:
+    """What one successful attempt at a cell produced.
 
-    Returned by :func:`run_sequential_cell`; the executor's
-    :meth:`ResilientExecutor.supervise` unwraps it transparently, so
-    ``attempt_fn`` callables may return either a plain result or one
-    of these.
+    The value every ``attempt_fn`` handed to
+    :meth:`ResilientExecutor.supervise` returns.
+
+    Attributes:
+        result: The cell's result.
+        levels: ``n_runs`` of each attempt record to journal, the
+            attempt's own first; every later entry is one escalation
+            that extended the sample (the fixed-N record shape).  Empty
+            keeps the requested ``n_runs``.
+        escalations: Inconclusive-band escalations performed.
+        note: Why the result is degraded; empty when it is not.
+        sequential: Look trajectory of a group-sequential cell
+            (:attr:`SequentialOutcome.record`); ``None`` otherwise.
+    """
+
+    result: object
+    levels: Tuple[int, ...] = ()
+    escalations: int = 0
+    note: str = ""
+    sequential: Optional[Dict[str, object]] = None
+
+
+@dataclass
+class SequentialOutcome:
+    """What one streaming attempt at an experiment cell produced.
+
+    Returned by :func:`run_sequential_cell`.
 
     Attributes:
         result: The experiment result over every trial actually
             streamed (its t-test covers the full collected sample, so
             ``attack_succeeds`` stays the authoritative verdict).
-        record: JSON-safe look trajectory / boundary record, journaled
-            with the cell and carried into artifact records.
-        extensions: Adaptive inconclusive-band extensions performed
-            (counted as escalations by the executor).
+        record: JSON-safe look trajectory / boundary record, including
+            the ``extensions`` the adaptive policy made.
         note: Degradation reason when the cell stayed inconclusive
-            after every extension (empty otherwise).
+            after its last permitted extension (empty otherwise).
     """
 
     result: ExperimentResult
     record: Dict[str, object]
-    extensions: int = 0
     note: str = ""
+
+    @property
+    def extensions(self) -> int:
+        """Adaptive inconclusive-band extensions performed."""
+        return len(self.record["extensions"])
 
     @property
     def effective_n(self) -> int:
@@ -381,21 +373,28 @@ def run_sequential_cell(
     runner: AttackRunner,
     design: SequentialDesign,
     adaptive: Optional[AdaptivePolicy] = None,
+    cycle_budget: Optional[float] = None,
 ) -> SequentialOutcome:
-    """Stream one cell's trials through a group-sequential boundary.
+    """Stream one cell's trials through its looks, then escalate.
 
-    Trials advance in boundary-aligned batches via
-    :meth:`~repro.core.attack.AttackRunner.run_incremental`; after each
-    scheduled look the interim p-value is fed to the alpha-spending
-    boundary and the cell stops on the first decisive look.  When the
-    final look lands in the adaptive policy's inconclusive band, the
-    sample is *extended* — all prior trials are kept and more are
-    drawn from the same per-trial seed schedule — up to
-    ``adaptive.max_escalations`` times, replacing the legacy
-    from-scratch 2xN re-run.
+    Every supervised experiment cell runs here.  A fixed-N cell is the
+    one-look design ``(n_runs,)``; a group-sequential design feeds the
+    interim p-value of each scheduled look to its alpha-spending
+    boundary and stops on the first decisive look.  Trials advance in
+    boundary-aligned batches via
+    :meth:`~repro.core.attack.AttackRunner.run_incremental`.
+
+    When the last look lands in the adaptive policy's inconclusive
+    band, the sample is *extended* to ``n * escalation_factor`` trials:
+    all prior trials are kept and more are drawn from the same
+    per-trial seed schedule, so the result is byte-identical to a cold
+    run at the larger ``n``.  Extension stops after
+    ``adaptive.max_escalations`` steps, or before a step once the
+    cycles simulated so far reach ``cycle_budget``; a cell still
+    inconclusive then carries a degradation note.
 
     Deterministic: the trials simulated depend only on the runner's
-    seed/config, the design, and the adaptive band.
+    seed/config, the design, the adaptive band and the budget.
     """
     experiment = runner.run_incremental()
     test = GroupSequentialTest(design)
@@ -404,7 +403,8 @@ def run_sequential_cell(
     # is the admission contract demand-driven lane schedulers honour).
     while (demand := design.next_demand(experiment.trials_done)) > 0:
         state = experiment.advance(experiment.trials_done + demand)
-        COUNTERS.sequential_looks += 1
+        if design.num_looks > 1:  # a fixed-N cell is not a sequential look
+            COUNTERS.sequential_looks += 1
         if test.decide(state.comparison.pvalue).decision != "continue":
             break
     assert state is not None  # designs always have >= 1 look
@@ -424,47 +424,40 @@ def run_sequential_cell(
         if clip is not None:
             clip(runner, experiment.trials_done)
 
-    extensions = 0
-    extension_records: List[Dict[str, object]] = []
+    extensions: List[Dict[str, object]] = []
     note = ""
-    if (
-        not test.stopped_early
-        and adaptive is not None
-        and adaptive.inconclusive(state.comparison.pvalue)
-    ):
-        while extensions < adaptive.max_escalations:
+    if adaptive is not None and not test.stopped_early:
+        while adaptive.inconclusive(state.comparison.pvalue):
+            spent = 2 * experiment.trials_done * state.mean_trial_cycles
+            if len(extensions) == adaptive.max_escalations or (
+                cycle_budget is not None and spent >= cycle_budget
+            ):
+                note = (
+                    f"p-value {state.comparison.pvalue:.4f} still "
+                    f"inconclusive after {len(extensions)} escalation(s)"
+                )
+                break
             reused = 2 * experiment.trials_done
             target = experiment.trials_done * adaptive.escalation_factor
             state = experiment.advance(target)
-            extensions += 1
             COUNTERS.escalation_trials_reused += reused
-            extension_records.append({
+            extensions.append({
                 "n": target,
                 "pvalue": state.comparison.pvalue,
                 "trials_reused": reused,
             })
-            if not adaptive.inconclusive(state.comparison.pvalue):
-                break
-        if adaptive.inconclusive(state.comparison.pvalue):
-            note = (
-                f"p-value {state.comparison.pvalue:.4f} still "
-                f"inconclusive after {extensions} escalation(s)"
-            )
 
     record: Dict[str, object] = {
         "design": design.to_payload(),
         "looks": [look.to_payload() for look in test.looks],
-        "extensions": extension_records,
+        "extensions": extensions,
         "stopped_early": test.stopped_early,
         "planned_n": design.n_max,
         "effective_n": experiment.trials_done,
         "trials_avoided": trials_avoided,
     }
     return SequentialOutcome(
-        result=experiment.result(),
-        record=record,
-        extensions=extensions,
-        note=note,
+        result=experiment.result(), record=record, note=note,
     )
 
 
@@ -554,40 +547,35 @@ class ResilientExecutor:
         policy: Optional[ExecutionPolicy] = None,
         injector: Optional[FaultInjector] = None,
         store: Optional[CheckpointStore] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy or ExecutionPolicy()
         self.injector = injector
         self.store = store
-        self._sleep = sleep
 
     # ------------------------------------------------------------------
     def supervise(
         self,
         cell_id: str,
-        attempt_fn: Callable[[int, Optional[int]], object],
+        attempt_fn: Callable[[int], AttemptOutcome],
         *,
         seed: int,
         n_runs: Optional[int] = None,
-        pvalue_of: Optional[Callable[[object], float]] = None,
-        cycles_of: Optional[Callable[[object], float]] = None,
-        degraded_note: Optional[Callable[[object], Optional[str]]] = None,
         preflight: Optional[Dict[str, object]] = None,
     ) -> SupervisedCell:
         """Run one cell under the policy; never raises unless fail_fast.
 
+        Retries, the zero-budget check, injected crashes,
+        classification and journaling live here; the attempt itself
+        (including any escalation) is ``attempt_fn``'s.
+
         Args:
             cell_id: Stable identifier (also the checkpoint key).
-            attempt_fn: ``(seed, n_runs) -> result``; ``n_runs`` is
-                ``None`` for cells without a sample count (Figure 7).
+            attempt_fn: ``seed -> AttemptOutcome``.  A
+                :class:`~repro.errors.ReproError` it raises fails the
+                attempt, which is retried under a fresh seed.
             seed: Base seed; retries derive fresh seeds from it.
-            n_runs: Requested sample count, escalated adaptively.
-            pvalue_of: Extracts the decision p-value (enables the
-                adaptive policy).
-            cycles_of: Extracts simulated cycles spent by one attempt
-                (enables the per-cell budget).
-            degraded_note: Returns a reason string when the result is
-                usable but degraded (e.g. samples lost to faults).
+            n_runs: Requested sample count, journaled with each attempt;
+                ``None`` for cells without one (Figure 7).
             preflight: Static-classification payload to attach to (and
                 journal with) the cell.
         """
@@ -595,153 +583,73 @@ class ResilientExecutor:
             return SupervisedCell.from_payload(self.store.load(cell_id))
 
         policy = self.policy
-        attempts: List[AttemptRecord] = []
-        n_runs_now = n_runs
-        escalations = 0
-        failures = 0
-        cycles_spent = 0.0
-        note = ""
-        result: Optional[object] = None
-        sequential_payload: Optional[Dict[str, object]] = None
-        attempt = 0
-
+        cell = SupervisedCell(
+            cell_id=cell_id, result=None,
+            classification=CellClassification.FAILED, preflight=preflight,
+        )
         cell_index = cell_seed_index(cell_id)
-        while True:
-            seed_now = reseed(seed, attempt - escalations, cell_index)
-            backoff = policy.retry.backoff_before(attempt - escalations)
-            if backoff:
-                self._sleep(backoff)
+        error: Optional[ReproError] = None
+        for attempt in range(policy.retry.max_retries + 1):
             record = AttemptRecord(
-                attempt=attempt, seed=seed_now, n_runs=n_runs_now,
-                backoff_s=backoff,
+                attempt=attempt, seed=reseed(seed, attempt, cell_index),
+                n_runs=n_runs,
             )
+            cell.attempts.append(record)
             try:
-                if (
-                    policy.cell_cycle_budget is not None
-                    and cycles_spent >= policy.cell_cycle_budget
-                ):
+                budget = policy.cell_cycle_budget
+                if budget is not None and budget <= 0:
                     raise BudgetExceededError(
-                        f"cell {cell_id!r} exhausted its cycle budget "
-                        f"({cycles_spent:.0f} >= "
-                        f"{policy.cell_cycle_budget:.0f} simulated cycles)"
+                        f"cell {cell_id!r} has no cycle budget "
+                        f"({budget:.0f} simulated cycles)"
                     )
                 if self.injector is not None:
                     self.injector.maybe_crash(cell_id, attempt)
-                result = attempt_fn(seed_now, n_runs_now)
-            except BudgetExceededError as error:
+                outcome = attempt_fn(record.seed)
+            except BudgetExceededError as failure:
                 # The budget is gone; retrying cannot restore it.
-                record.error = str(error)
-                record.error_type = type(error).__name__
-                attempts.append(record)
-                return self._conclude(
-                    cell_id, None, CellClassification.FAILED, attempts,
-                    escalations, str(error), error, preflight,
-                )
-            except ReproError as error:
-                record.error = str(error)
-                record.error_type = type(error).__name__
-                attempts.append(record)
-                failures += 1
-                if failures > policy.retry.max_retries:
-                    return self._conclude(
-                        cell_id, None, CellClassification.FAILED, attempts,
-                        escalations,
-                        f"gave up after {failures} failed attempts", error,
-                        preflight,
-                    )
-                attempt += 1
+                record.error = cell.note = str(failure)
+                record.error_type = type(failure).__name__
+                return self._conclude(cell, failure)
+            except ReproError as failure:
+                record.error = str(failure)
+                record.error_type = type(failure).__name__
+                error = failure
                 continue
-
-            attempts.append(record)
-            outcome: Optional[SequentialOutcome] = None
-            if isinstance(result, SequentialOutcome):
-                # A sequential attempt did its own escalation (by
-                # extension) internally; unwrap it and skip the
-                # from-scratch adaptive re-run below.
-                outcome = result
-                sequential_payload = outcome.record
-                escalations += outcome.extensions
-                if outcome.note:
-                    note = outcome.note
-                record.n_runs = outcome.effective_n
-                result = outcome.result
-            if cycles_of is not None:
-                cycles_spent += float(cycles_of(result))
-            if degraded_note is not None:
-                reason = degraded_note(result)
-                if reason:
-                    note = reason
-            if (
-                outcome is None
-                and policy.adaptive is not None
-                and pvalue_of is not None
-                and n_runs_now is not None
-                and policy.adaptive.inconclusive(pvalue_of(result))
-            ):
-                budget_left = (
-                    policy.cell_cycle_budget is None
-                    or cycles_spent < policy.cell_cycle_budget
-                )
-                if (
-                    escalations < policy.adaptive.max_escalations
-                    and budget_left
-                ):
-                    escalations += 1
-                    n_runs_now *= policy.adaptive.escalation_factor
-                    attempt += 1
-                    continue
-                note = note or (
-                    f"p-value {pvalue_of(result):.4f} still inconclusive "
-                    f"after {escalations} escalation(s)"
-                )
-                return self._conclude(
-                    cell_id, result, CellClassification.DEGRADED,
-                    attempts, escalations, note, None, preflight,
-                    sequential_payload,
-                )
             break
-
-        if note:
-            classification = CellClassification.DEGRADED
-        elif failures or escalations:
-            classification = CellClassification.RETRIED
         else:
-            classification = CellClassification.CLEAN
-        return self._conclude(
-            cell_id, result, classification, attempts, escalations, note,
-            None, preflight, sequential_payload,
+            cell.note = f"gave up after {len(cell.attempts)} failed attempts"
+            return self._conclude(cell, error)
+
+        if outcome.levels:
+            record.n_runs = outcome.levels[0]
+        cell.attempts.extend(
+            AttemptRecord(attempt=attempt + step, seed=record.seed,
+                          n_runs=level)
+            for step, level in enumerate(outcome.levels[1:], start=1)
         )
+        cell.result = outcome.result
+        cell.escalations = outcome.escalations
+        cell.note = outcome.note
+        cell.sequential = outcome.sequential
+        if cell.note:
+            cell.classification = CellClassification.DEGRADED
+        elif attempt or cell.escalations:
+            cell.classification = CellClassification.RETRIED
+        else:
+            cell.classification = CellClassification.CLEAN
+        return self._conclude(cell, None)
 
     def _conclude(
-        self,
-        cell_id: str,
-        result: Optional[object],
-        classification: CellClassification,
-        attempts: List[AttemptRecord],
-        escalations: int,
-        note: str,
-        error: Optional[BaseException],
-        preflight: Optional[Dict[str, object]] = None,
-        sequential: Optional[Dict[str, object]] = None,
+        self, cell: SupervisedCell, error: Optional[ReproError],
     ) -> SupervisedCell:
-        cell = SupervisedCell(
-            cell_id=cell_id,
-            result=result,
-            classification=classification,
-            attempts=attempts,
-            escalations=escalations,
-            note=note,
-            preflight=preflight,
-            sequential=sequential,
-        )
-        if classification is CellClassification.FAILED:
+        if cell.classification is CellClassification.FAILED:
             if self.policy.fail_fast and error is not None:
                 raise error
             # Failed cells are not journaled: a resumed run should
             # re-attempt them rather than pin the failure forever.
             return cell
         if self.store is not None:
-            self.store.save(cell_id, cell.to_payload())
+            self.store.save(cell.cell_id, cell.to_payload())
         return cell
 
     # ------------------------------------------------------------------
@@ -765,19 +673,21 @@ class ResilientExecutor:
         including the stored preflight record, is reused verbatim so
         resumed artifacts stay byte-identical).
 
-        Under :attr:`ExecutionPolicy.sequential` the cell streams its
-        trials through :func:`run_sequential_cell` instead of running
-        the fixed-N experiment; the supervision contract (retries,
-        budget, fault injection, journaling) is unchanged.
+        Every attempt streams the cell through
+        :func:`run_sequential_cell`: the one-look design ``(n_runs,)``
+        for a fixed-N cell, the :attr:`ExecutionPolicy.sequential`
+        design otherwise.  A fixed-N cell journals one attempt record
+        per escalation level (``n_runs``, ``2 * n_runs``, ... under the
+        same seed); a sequential cell journals one attempt with its
+        effective ``n`` plus its look trajectory.
         """
-        from repro.harness.experiment import cell_runner, run_cell
+        from repro.harness.experiment import cell_runner
 
         preflight_payload = self._preflight_payload(
             cell_id, variant, channel, predictor, overrides
         )
 
         injector = self.injector
-        requested_runs = n_runs
         seq_policy = self.policy.sequential
 
         def build_kwargs(seed_now: int) -> Tuple[Dict[str, object], object]:
@@ -812,72 +722,50 @@ class ResilientExecutor:
                     predictor_arg = corrupting_factory
             return kwargs, predictor_arg
 
-        def attempt_fn(seed_now: int, n_runs_now: Optional[int]):
+        def attempt_fn(seed_now: int) -> AttemptOutcome:
             kwargs, predictor_arg = build_kwargs(seed_now)
-            if seq_policy is None:
-                result = run_cell(
-                    variant, channel, predictor_arg, n_runs_now, seed_now,
-                    **kwargs,
-                )
-                if (
-                    injector is not None
-                    and injector.profile.perturbs_samples
-                ):
-                    result = _apply_sample_faults(
-                        injector, result, cell_id, seed_now
-                    )
-                return result
-
             runner = cell_runner(
-                variant, channel, predictor_arg, n_runs_now, seed_now,
-                **kwargs,
+                variant, channel, predictor_arg, n_runs, seed_now, **kwargs,
+            )
+            design = (
+                seq_policy.design_for(n_runs) if seq_policy is not None
+                else SequentialDesign(looks=(n_runs,))
             )
             outcome = run_sequential_cell(
-                runner, seq_policy.design_for(n_runs_now),
-                self.policy.adaptive,
+                runner, design, self.policy.adaptive,
+                self.policy.cell_cycle_budget,
             )
+            result, note = outcome.result, outcome.note
             if injector is not None and injector.profile.perturbs_samples:
-                corrupted = _apply_sample_faults(
-                    injector, outcome.result, cell_id, seed_now
+                result = _apply_sample_faults(
+                    injector, result, cell_id, seed_now
                 )
                 survivors = min(
-                    len(corrupted.comparison.mapped),
-                    len(corrupted.comparison.unmapped),
+                    len(result.comparison.mapped),
+                    len(result.comparison.unmapped),
                 )
-                if survivors < outcome.effective_n and not outcome.note:
-                    outcome.note = (
+                if survivors < outcome.effective_n and not note:
+                    note = (
                         f"only {survivors}/{outcome.effective_n} "
                         "samples survived fault injection"
                     )
-                outcome.result = corrupted
-            return outcome
-
-        def degraded_note(result) -> Optional[str]:
             if seq_policy is not None:
-                # Sequential attempts size their own samples; any
-                # fault-injection degradation note is attached by
-                # attempt_fn above.
-                return None
-            mapped = len(result.comparison.mapped)
-            unmapped = len(result.comparison.unmapped)
-            if mapped < requested_runs or unmapped < requested_runs:
-                return (
-                    f"only {min(mapped, unmapped)}/{requested_runs} "
-                    "samples survived fault injection"
+                return AttemptOutcome(
+                    result, levels=(outcome.effective_n,),
+                    escalations=outcome.extensions, note=note,
+                    sequential=outcome.record,
                 )
-            return None
+            return AttemptOutcome(
+                result,
+                levels=(n_runs,) + tuple(
+                    int(extension["n"])
+                    for extension in outcome.record["extensions"]
+                ),
+                escalations=outcome.extensions, note=note,
+            )
 
         cell = self.supervise(
-            cell_id,
-            attempt_fn,
-            seed=seed,
-            n_runs=n_runs,
-            pvalue_of=lambda result: result.pvalue,
-            cycles_of=lambda result: (
-                result.mean_trial_cycles * 2
-                * len(result.comparison.mapped)
-            ),
-            degraded_note=degraded_note,
+            cell_id, attempt_fn, seed=seed, n_runs=n_runs,
             preflight=preflight_payload,
         )
         self._enforce_static_agreement(cell, predictor)
@@ -970,7 +858,7 @@ class ResilientExecutor:
         """Supervised version of the Figure 7 RSA exponent leak."""
         injector = self.injector
 
-        def attempt_fn(seed_now: int, n_runs_now: Optional[int]):
+        def attempt_fn(seed_now: int) -> AttemptOutcome:
             mem = memory_config
             if (
                 injector is not None
@@ -988,7 +876,9 @@ class ResilientExecutor:
             config = RsaAttackConfig(
                 seed=seed_now, memory_config=mem, **kwargs
             )
-            return RsaVpAttack(config).run(Mpi.from_int(exponent))
+            return AttemptOutcome(
+                RsaVpAttack(config).run(Mpi.from_int(exponent))
+            )
 
         return self.supervise(cell_id, attempt_fn, seed=seed)
 

@@ -41,9 +41,8 @@ class PerfCounters:
             simulated cycles those avoided trials would have cost
             (avoided trials x the cell's mean trial cycles, truncated).
         escalation_trials_reused: Trials kept across adaptive
-            inconclusive-band escalations under the streaming
-            extension protocol — each of these used to be re-simulated
-            from scratch by the legacy 2xN re-run.
+            inconclusive-band escalations: an escalation extends the
+            cell's stream, so none of these is simulated twice.
         serve_jobs_accepted / serve_jobs_rejected / serve_jobs_shed:
             Daemon admission outcomes — enqueued, bounced with
             retry-after (queue full), or refused because the daemon
@@ -190,27 +189,6 @@ class PerfCounters:
         served = (self.serve_cache_hits + self.serve_cache_journal_hits
                   + self.serve_cache_stale)
         return self._rate(served, self.serve_cache_misses)
-
-    @property
-    def batched_mean_lane_width(self) -> float:
-        """Mean lanes per vectorized chunk (0 when none ran)."""
-        if not self.batched_chunks:
-            return 0.0
-        return self.batched_vector_trials / (2.0 * self.batched_chunks)
-
-    @property
-    def batched_vectorized_fraction(self) -> float:
-        """Fraction of batched-backend trials that ran in lanes."""
-        return self._rate(
-            self.batched_vector_trials, self.batched_fallback_trials
-        )
-
-    @property
-    def pool_occupancy(self) -> float:
-        """Mean lane occupancy of the pool scheduler (0 when idle)."""
-        if not self.pool_lanes_offered:
-            return 0.0
-        return self.pool_lanes_filled / self.pool_lanes_offered
 
     @property
     def serve_mean_queue_wait_ms(self) -> float:

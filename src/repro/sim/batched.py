@@ -124,7 +124,7 @@ class BatchedBackend:
         ):
             return (
                 f"replacement policy {memory_config.replacement_policy!r} "
-                "draws per-trial randomness into cache structure"
+                "has no lane form: the lockstep engine keeps only LRU stamps"
             )
         return None
 

@@ -1,30 +1,40 @@
 """Tests for the resilient executor (retry, watchdog, adaptive paths)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.channels import ChannelType
-from repro.core.variants import TrainTestAttack
+from repro.core.variants import FillUpAttack, TrainTestAttack
 from repro.errors import (
     BudgetExceededError,
     SimulationError,
     StatsError,
 )
+from repro.harness.checkpoint import serialize_result
 from repro.harness.experiment import run_cell
 from repro.harness.faults import FaultInjector, FaultProfile
+from repro.harness.parallel import artifact_plan, execute_spec
 from repro.harness.runner import (
     AdaptivePolicy,
+    AttemptOutcome,
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
     RetryPolicy,
     reseed,
 )
+from repro.perf.counters import COUNTERS
 
 
 class FakeResult:
-    def __init__(self, pvalue, cycles=0.0):
+    def __init__(self, pvalue):
         self.pvalue = pvalue
-        self.cycles = cycles
+
+
+def fake(pvalue):
+    """An attempt outcome around a stand-in result."""
+    return AttemptOutcome(FakeResult(pvalue))
 
 
 class TestReseed:
@@ -44,14 +54,6 @@ class TestPolicies:
         from repro.errors import HarnessError
         with pytest.raises(HarnessError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(HarnessError):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0)
-        assert policy.backoff_before(0) == 0.0
-        assert policy.backoff_before(1) == 0.5
-        assert policy.backoff_before(3) == 2.0
 
     def test_adaptive_band(self):
         adaptive = AdaptivePolicy()
@@ -70,7 +72,7 @@ class TestRetryPath:
     def test_clean_first_attempt(self):
         executor = ResilientExecutor()
         cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.5), seed=3, n_runs=10
+            "c", lambda seed: fake(0.5), seed=3, n_runs=10
         )
         assert cell.classification is CellClassification.CLEAN
         assert cell.result.pvalue == 0.5
@@ -79,11 +81,11 @@ class TestRetryPath:
     def test_retry_after_errors_reseeds(self):
         calls = []
 
-        def flaky(seed, n):
+        def flaky(seed):
             calls.append(seed)
             if len(calls) < 3:
                 raise StatsError("empty sample")
-            return FakeResult(0.9)
+            return fake(0.9)
 
         executor = ResilientExecutor(
             ExecutionPolicy(retry=RetryPolicy(max_retries=3))
@@ -96,7 +98,7 @@ class TestRetryPath:
         assert len(set(calls)) == 3  # every retry used a fresh seed
 
     def test_gives_up_after_max_retries(self):
-        def always_fails(seed, n):
+        def always_fails(seed):
             raise StatsError("nope")
 
         executor = ResilientExecutor(
@@ -108,7 +110,7 @@ class TestRetryPath:
         assert len(cell.attempts) == 3
 
     def test_fail_fast_reraises(self):
-        def always_fails(seed, n):
+        def always_fails(seed):
             raise StatsError("nope")
 
         executor = ResilientExecutor(
@@ -117,67 +119,84 @@ class TestRetryPath:
         with pytest.raises(StatsError):
             executor.supervise("c", always_fails, seed=0, n_runs=10)
 
-    def test_backoff_slept_and_recorded(self):
-        slept = []
-
-        def flaky(seed, n):
-            if not slept:
-                raise StatsError("once")
-            return FakeResult(0.9)
-
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=2,
-                                              backoff_base=0.25)),
-            sleep=slept.append,
-        )
-        cell = executor.supervise("c", flaky, seed=0, n_runs=10)
-        assert slept == [0.25]
-        assert cell.attempts[1].backoff_s == 0.25
-
 
 class TestAdaptiveRemeasurement:
+    """Escalation extends the streamed sample of a real cell."""
+
+    def _cell(self, adaptive):
+        executor = ResilientExecutor(ExecutionPolicy(adaptive=adaptive))
+        return executor.run_cell_supervised(
+            "c", TrainTestAttack(), ChannelType.TIMING_WINDOW, "none",
+            n_runs=4, seed=9,
+        )
+
     def test_escalates_out_of_inconclusive_band(self):
-        seen = []
-
-        def experiment(seed, n):
-            seen.append((seed, n))
-            return FakeResult(0.06 if n == 10 else 0.001)
-
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy())
+        first = run_cell(
+            TrainTestAttack(), ChannelType.TIMING_WINDOW, "none", 4, 9
+        ).pvalue
+        second = run_cell(
+            TrainTestAttack(), ChannelType.TIMING_WINDOW, "none", 8, 9
         )
-        cell = executor.supervise(
-            "c", experiment, seed=9, n_runs=10,
-            pvalue_of=lambda r: r.pvalue,
+        assert first != second.pvalue
+        # A band holding the 4-run p-value but not the 8-run one.
+        low, high = sorted((first, second.pvalue))
+        middle = (low + high) / 2
+        band = (
+            AdaptivePolicy(band_low=0.0, band_high=middle)
+            if first < second.pvalue
+            else AdaptivePolicy(band_low=middle, band_high=1.0)
         )
+        cell = self._cell(band)
         assert cell.classification is CellClassification.RETRIED
         assert cell.escalations == 1
-        assert seen == [(9, 10), (9, 20)]  # same seed, doubled runs
-        assert cell.result.pvalue == 0.001
+        # Same seed, doubled runs: the escalation extends the sample.
+        assert [(a.seed, a.n_runs) for a in cell.attempts] == [(9, 4), (9, 8)]
+        assert serialize_result(cell.result) == serialize_result(second)
 
     def test_still_inconclusive_is_degraded(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy(max_escalations=2))
-        )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.05), seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-        )
+        cell = self._cell(AdaptivePolicy(
+            band_low=0.0, band_high=1.0, max_escalations=2
+        ))
         assert cell.classification is CellClassification.DEGRADED
         assert cell.escalations == 2
+        assert [a.n_runs for a in cell.attempts] == [4, 8, 16]
         assert cell.result is not None
         assert "inconclusive" in cell.note
 
     def test_conclusive_pvalue_never_escalates(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy())
+        adaptive = AdaptivePolicy()
+        executor = ResilientExecutor(ExecutionPolicy(adaptive=adaptive))
+        cell = executor.run_cell_supervised(
+            "c", TrainTestAttack(), ChannelType.TIMING_WINDOW, "lvp",
+            n_runs=8, seed=1,
         )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.0001), seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-        )
+        assert not adaptive.inconclusive(cell.result.pvalue)
         assert cell.classification is CellClassification.CLEAN
         assert cell.escalations == 0
+        assert [a.n_runs for a in cell.attempts] == [8]
+
+    def test_table3_escalation_extends_instead_of_rerunning(self):
+        """Table III Fill Up / pc_novp at seed 2 is inconclusive at 100
+        runs; escalating simulates 100 more, not 200 from scratch."""
+        rows = artifact_plan(["table3"], 100, 2)["table3"]
+        [spec] = [
+            spec for (_, slot), spec in rows
+            if spec.variant == "Fill Up" and slot == "pc_novp"
+        ]
+        policy = dataclasses.replace(
+            ExecutionPolicy.robust(), backend="batched"
+        )
+        before = COUNTERS.trials
+        cell = execute_spec(spec, ResilientExecutor(policy))
+        trials = COUNTERS.trials - before
+        cold = run_cell(
+            FillUpAttack(), ChannelType.PERSISTENT, "none",
+            n_runs=200, seed=2, backend="batched",
+        )
+        assert serialize_result(cell.result) == serialize_result(cold)
+        assert [a.n_runs for a in cell.attempts] == [100, 200]
+        assert {a.seed for a in cell.attempts} == {2}
+        assert trials == 400
 
 
 class TestCycleBudget:
@@ -186,34 +205,34 @@ class TestCycleBudget:
             ExecutionPolicy(cell_cycle_budget=0.0)
         )
         cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.5), seed=0, n_runs=4,
-            cycles_of=lambda r: r.cycles,
+            "c", lambda seed: fake(0.5), seed=0, n_runs=4,
         )
         assert cell.classification is CellClassification.FAILED
         assert cell.attempts[0].error_type == "BudgetExceededError"
 
     def test_budget_stops_escalation_with_degraded_result(self):
+        # Every p-value is inconclusive, but the first 4 runs already
+        # spend more than the budget, so no extension starts.
         executor = ResilientExecutor(
             ExecutionPolicy(
-                adaptive=AdaptivePolicy(),
+                adaptive=AdaptivePolicy(band_low=0.0, band_high=1.0),
                 cell_cycle_budget=100.0,
             )
         )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.05, cycles=200.0),
-            seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-            cycles_of=lambda r: r.cycles,
+        cell = executor.run_cell_supervised(
+            "c", TrainTestAttack(), ChannelType.TIMING_WINDOW, "none",
+            n_runs=4, seed=0,
         )
-        # The first result exists but the budget forbids re-measuring.
         assert cell.classification is CellClassification.DEGRADED
         assert cell.result is not None
         assert cell.escalations == 0
+        assert [a.n_runs for a in cell.attempts] == [4]
+        assert "inconclusive after 0 escalation(s)" in cell.note
 
     def test_budget_error_not_retried(self):
         calls = []
 
-        def fn(seed, n):
+        def fn(seed):
             calls.append(seed)
             raise BudgetExceededError("gone")
 
@@ -310,7 +329,7 @@ class TestExecutionRecord:
     def test_record_carries_classification_and_attempts(self):
         executor = ResilientExecutor()
         cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.4), seed=1, n_runs=6
+            "c", lambda seed: fake(0.4), seed=1, n_runs=6
         )
         record = cell.execution_record()
         assert record["classification"] == "clean"

@@ -38,12 +38,10 @@ from repro.harness.runner import (
 )
 from repro.perf.counters import COUNTERS
 from repro.stats.sequential import (
-    DEFAULT_LOOK_FRACTIONS,
     GroupSequentialTest,
     SequentialDesign,
     default_looks,
     obrien_fleming_spending,
-    pocock_spending,
     run_group_sequential,
 )
 from repro.stats.ttest import ALPHA
@@ -71,14 +69,9 @@ class TestSpendingFunctions:
         assert obrien_fleming_spending(0.2) < 1e-4
         assert obrien_fleming_spending(0.4) < 0.005
 
-    def test_pocock_spends_faster_early(self):
-        for t in (0.2, 0.4, 0.6):
-            assert pocock_spending(t) > obrien_fleming_spending(t)
-        assert pocock_spending(1.0) == ALPHA
-
     def test_alpha_parameter_respected(self):
         assert obrien_fleming_spending(1.0, alpha=0.01) == 0.01
-        assert pocock_spending(0.5, alpha=0.01) < 0.01
+        assert obrien_fleming_spending(0.5, alpha=0.01) < 0.01
 
 
 class TestDefaultLooks:
@@ -116,10 +109,6 @@ class TestSequentialDesign:
             SequentialDesign(looks=(10, 10))  # not strictly increasing
         with pytest.raises(StatsError):
             SequentialDesign(looks=(10, 20), alpha=1.5)
-        with pytest.raises(StatsError):
-            SequentialDesign(looks=(10, 20), spending="bogus")
-        with pytest.raises(StatsError):
-            SequentialDesign(looks=(10, 20), final_level="bogus")
 
     def test_fixed_n_final_level_is_plain_alpha(self):
         design = SequentialDesign(looks=(20, 40, 60, 80, 100))
@@ -134,13 +123,6 @@ class TestSequentialDesign:
         levels = [design.level_at(k) for k in range(design.num_looks - 1)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
-    def test_spend_final_level_bounds_total_by_alpha(self):
-        design = SequentialDesign(
-            looks=(20, 40, 60, 80, 100), final_level="spend"
-        )
-        total = sum(design.level_at(k) for k in range(design.num_looks))
-        assert total == pytest.approx(ALPHA)
-
     def test_single_look_design_is_fixed_n(self):
         design = SequentialDesign(looks=(100,))
         assert design.interim_spend() == 0.0
@@ -151,6 +133,9 @@ class TestSequentialDesign:
         payload = json.loads(json.dumps(design.to_payload()))
         assert payload["looks"] == [20, 40]
         assert len(payload["levels"]) == 2
+        # The boundary family is fixed but stays in journaled payloads.
+        assert payload["spending"] == "obrien-fleming"
+        assert payload["final_level"] == "fixed-n"
 
 
 class TestGroupSequentialTest:
@@ -222,7 +207,7 @@ class TestRunGroupSequential:
     def test_monte_carlo_type_one_error_near_alpha(self):
         """Null-cell rejection rate stays near the design alpha.
 
-        With ``final_level="fixed-n"`` the worst-case bound is
+        With the fixed-N final look the worst-case bound is
         ``alpha + interim_spend`` (union bound); empirically the rate
         is near alpha because interim crossings under the null almost
         always imply final-look rejections too.  2000 replicates give
@@ -472,15 +457,19 @@ class TestSupervisedSequential:
             SequentialPolicy(looks=(1, 10))
         with pytest.raises(HarnessError):
             SequentialPolicy(looks=(10, 10))
-        with pytest.raises(HarnessError):
-            SequentialPolicy(look_fractions=())
 
     def test_policy_design_for_mixed_budgets(self):
         policy = SequentialPolicy(looks=(10, 20, 50))
         assert policy.design_for(40).looks == (10, 20, 40)
         assert policy.design_for(100).looks == (10, 20, 50, 100)
         meta = json.loads(json.dumps(policy.to_meta()))
-        assert meta["looks"] == [10, 20, 50]
+        assert meta == {
+            "look_fractions": [0.2, 0.4, 0.6, 0.8, 1.0],
+            "looks": [10, 20, 50],
+            "alpha": 0.05,
+            "spending": "obrien-fleming",
+            "final_level": "fixed-n",
+        }
 
 
 class TestSequentialParallelDeterminism:

@@ -368,6 +368,30 @@ def test_injected_divergence_falls_back_then_genuine_errors_reraise(
         _stream(_runner(variant, "batched"))
 
 
+@pytest.mark.parametrize("policy", ["fifo", "random"])
+def test_non_lru_replacement_journals_true_reason(policy):
+    """``fifo`` is deterministic and ``random`` is not; the gate refuses
+    both for the same reason, which the journal must state."""
+    from repro.core.attack import attack_dram_config
+    from repro.memory.hierarchy import MemoryConfig
+
+    clear_fallback_journal()
+    variant = variant_by_name("Train + Hit")
+    memory_config = MemoryConfig(
+        dram=attack_dram_config(), replacement_policy=policy
+    )
+    scalar = _stream(_runner(variant, "scalar", n_runs=2,
+                             memory_config=memory_config))
+    batched = _stream(_runner(variant, "batched", n_runs=2,
+                              memory_config=memory_config))
+    assert batched == scalar
+    [(_, reason)] = fallback_journal()
+    assert reason == (
+        f"replacement policy {policy!r} has no lane form: "
+        "the lockstep engine keeps only LRU stamps"
+    )
+
+
 def test_vectorized_cell_journals_nothing():
     from repro.perf.counters import COUNTERS
 
